@@ -28,7 +28,7 @@ grep -q '"edges"' target/fairlint/graph.json
 cargo run -q -p fairlint -- --graph dot > target/fairlint/graph.dot
 grep -q '^digraph fairlint' target/fairlint/graph.dot
 
-echo "== cargo build --release (workspace: libs + reproduce/exp_*/fair-trace bins)"
+echo "== cargo build --release (workspace: libs + reproduce/fair-trace/fair-serve/fair-load bins)"
 cargo build --release --workspace
 
 echo "== cargo test"
@@ -58,20 +58,27 @@ rm -rf "$BAD_DIR"
 echo "== reproduce smoke run (parallel, JSON records)"
 FAIR_TRIALS=100 ./target/release/reproduce --jobs 2 --trace --json BENCH_reproduce.json e1 e4 e13 s_deposit_coin
 
+# Starts fair-serve on an ephemeral port with the given flags and waits
+# for its ADDR= line; sets SERVE_PID and ADDR, or fails the gate.
+boot_server() {
+  local out
+  out="$(mktemp)"
+  ./target/release/fair-serve --addr 127.0.0.1:0 "$@" > "$out" &
+  SERVE_PID=$!
+  ADDR=""
+  for _ in $(seq 100); do
+    ADDR="$(sed -n 's/^ADDR=//p' "$out")"
+    [ -n "$ADDR" ] && break
+    sleep 0.1
+  done
+  rm -f "$out"
+  [ -n "$ADDR" ] || { echo "fair-serve $* never reported its address"; kill "$SERVE_PID"; exit 1; }
+}
+
 echo "== fair-serve smoke (ephemeral boot, fair-load --check, graceful shutdown)"
 # Perf gate pinned to --loops 1: the 5k rps floor below measures the
 # single-loop event loop, so sharding changes can't mask a regression.
-SERVE_OUT="$(mktemp)"
-./target/release/fair-serve --addr 127.0.0.1:0 --workers 2 --loops 1 \
-  --metrics-out target/simlab/serve_metrics.json > "$SERVE_OUT" &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 100); do
-  ADDR="$(sed -n 's/^ADDR=//p' "$SERVE_OUT")"
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "fair-serve never reported its address"; kill "$SERVE_PID"; exit 1; }
+boot_server --workers 2 --loops 1 --metrics-out target/simlab/serve_metrics.json
 # --check fails on any request error or a cold cache (warm hit rate must be > 0).
 ./target/release/fair-load --addr "$ADDR" --exp e2 --trials 200 \
   --clients 2 --points 4 --repeat 4 --out target/simlab/serve_load_smoke.json \
@@ -96,77 +103,52 @@ EOF
 # Graceful shutdown: the server drains, flushes metrics, and exits cleanly.
 ./target/release/fair-load shutdown --addr "$ADDR"
 wait "$SERVE_PID"
-rm -f "$SERVE_OUT"
 test -s target/simlab/serve_metrics.json
 
 echo "== fair-serve sharded smoke (--loops 2, correctness-only gate)"
 # Correctness only — no throughput floor: both gates (0 errors, warm
 # cache hits) must hold when accepts are sharded across two event loops,
 # and the group must still drain cleanly on shutdown.
-SHARD_OUT="$(mktemp)"
 SHARD_METRICS="$(mktemp)"
-./target/release/fair-serve --addr 127.0.0.1:0 --workers 2 --loops 2 \
-  --metrics-out "$SHARD_METRICS" > "$SHARD_OUT" &
-SHARD_PID=$!
-SADDR=""
-for _ in $(seq 100); do
-  SADDR="$(sed -n 's/^ADDR=//p' "$SHARD_OUT")"
-  [ -n "$SADDR" ] && break
-  sleep 0.1
-done
-[ -n "$SADDR" ] || { echo "fair-serve (sharded) never reported its address"; kill "$SHARD_PID"; exit 1; }
-./target/release/fair-load --addr "$SADDR" --exp e2 --trials 200 \
+boot_server --workers 2 --loops 2 --metrics-out "$SHARD_METRICS"
+./target/release/fair-load --addr "$ADDR" --exp e2 --trials 200 \
   --connections 4 --pipeline 4 --points 4 --repeat 8 --server-loops 2 \
   --out target/simlab/serve_load_sharded_smoke.json \
   --bench-out target/simlab/serve_bench_sharded_smoke.json --check
-./target/release/fair-load shutdown --addr "$SADDR"
-wait "$SHARD_PID"
+./target/release/fair-load shutdown --addr "$ADDR"
+wait "$SERVE_PID"
 # The aggregated snapshot reports both loops.
 grep -q '"loops": 2' "$SHARD_METRICS"
-rm -f "$SHARD_OUT" "$SHARD_METRICS"
+rm -f "$SHARD_METRICS"
 
 echo "== tile-store restart smoke (warm-from-disk byte identity + /stream)"
 TILES_DIR="$(mktemp -d)"
 BODY_COLD="$(mktemp)"
 BODY_WARM="$(mktemp)"
-TSERVE_OUT="$(mktemp)"
 TMETRICS="$(mktemp)"
-boot_tiles_server() {
-  : > "$TSERVE_OUT"
-  ./target/release/fair-serve --addr 127.0.0.1:0 --workers 2 \
-    --tiles-dir "$TILES_DIR" > "$TSERVE_OUT" &
-  TSERVE_PID=$!
-  TADDR=""
-  for _ in $(seq 100); do
-    TADDR="$(sed -n 's/^ADDR=//p' "$TSERVE_OUT")"
-    [ -n "$TADDR" ] && break
-    sleep 0.1
-  done
-  [ -n "$TADDR" ] || { echo "fair-serve (tiles) never reported its address"; kill "$TSERVE_PID"; exit 1; }
-}
 # Cold boot: compute one point, and stream the same experiment with a
 # loose epsilon — the adaptive stopper must converge ("done":true).
-boot_tiles_server
-GET_OUT="$(./target/release/fair-load get --addr "$TADDR" \
+boot_server --workers 2 --tiles-dir "$TILES_DIR"
+GET_OUT="$(./target/release/fair-load get --addr "$ADDR" \
   --target '/estimate?exp=e2&trials=320&seed=9' --out "$BODY_COLD")"
 echo "$GET_OUT" | grep -q 'X-CACHE=miss'
-STREAM_OUT="$(./target/release/fair-load get --addr "$TADDR" \
+STREAM_OUT="$(./target/release/fair-load get --addr "$ADDR" \
   --target '/stream?exp=e2&trials=5000&seed=9&epsilon=0.2')"
 echo "$STREAM_OUT" | grep -q '"done":true'
-./target/release/fair-load shutdown --addr "$TADDR"
-wait "$TSERVE_PID"
+./target/release/fair-load shutdown --addr "$ADDR"
+wait "$SERVE_PID"
 # Reboot on the same directory: the point comes back warm from disk —
 # tiles loaded, lookups hit, and the body byte-identical to the cold one.
-boot_tiles_server
-./target/release/fair-load get --addr "$TADDR" \
+boot_server --workers 2 --tiles-dir "$TILES_DIR"
+./target/release/fair-load get --addr "$ADDR" \
   --target '/estimate?exp=e2&trials=320&seed=9' --out "$BODY_WARM" > /dev/null
 cmp "$BODY_COLD" "$BODY_WARM"
-./target/release/fair-load get --addr "$TADDR" --target '/metrics' --out "$TMETRICS" > /dev/null
+./target/release/fair-load get --addr "$ADDR" --target '/metrics' --out "$TMETRICS" > /dev/null
 grep -q '"loaded_records": [1-9]' "$TMETRICS"
 grep -q '"hits": [1-9]' "$TMETRICS"
-./target/release/fair-load shutdown --addr "$TADDR"
-wait "$TSERVE_PID"
+./target/release/fair-load shutdown --addr "$ADDR"
+wait "$SERVE_PID"
 rm -rf "$TILES_DIR"
-rm -f "$BODY_COLD" "$BODY_WARM" "$TSERVE_OUT" "$TMETRICS"
+rm -f "$BODY_COLD" "$BODY_WARM" "$TMETRICS"
 
 echo "== ci.sh: all green"

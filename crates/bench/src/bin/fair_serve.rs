@@ -115,10 +115,8 @@ fn main() {
     println!("ADDR={addr}");
     let _ = std::io::stdout().flush();
     eprintln!(
-        "[serve] listening on {addr}; {} event loop(s), accept sharding: {}; \
-         stop with POST /shutdown",
-        server.loops(),
-        server.sharding().name()
+        "[serve] listening on {addr}; {} event loop(s); stop with POST /shutdown",
+        server.loops()
     );
     match tiles_note {
         Some(dir) => eprintln!("[serve] persistent tile store at {dir}"),

@@ -3,7 +3,7 @@
 #![warn(missing_docs)]
 //! Experiment harness for the `fair-protocols` workspace: every table the
 //! reproduction generates (experiments E1–E13 from DESIGN.md) plus the
-//! report rendering used by the `exp_*` binaries and `reproduce`.
+//! report rendering used by `reproduce` (`reproduce eN` runs one).
 
 pub mod experiments;
 pub mod partial_exp;

@@ -218,24 +218,6 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteRecord, String> {
     Ok(suite)
 }
 
-/// Shared `main` for the single-experiment `exp_*` binaries: runs one
-/// experiment at [`BASE_SEED`] with `FAIR_TRIALS`/`FAIR_JOBS` honored,
-/// prints its tables, persists its record, and exits nonzero on failure.
-pub fn exp_main(id: &str) {
-    let trials = crate::default_trials();
-    let (reports, record) = run_recorded(id, trials, BASE_SEED).expect("known experiment");
-    for r in &reports {
-        println!("{}", r.render());
-    }
-    eprintln!("[simlab] {id}: {:.1}ms wall clock", record.wall_ms);
-    if let Err(e) = record.write(Path::new(RECORD_DIR)) {
-        eprintln!("warning: could not persist {RECORD_DIR}/{id}.json: {e}");
-    }
-    if !record.pass {
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,7 @@
 //! Whatever `--loops` is set to, the same `(exp, trials, seed)` point
 //! serves the same bytes — equal to the batch runner's deterministic
 //! result document — cold, warm, and pipelined; and a pipelined batch
-//! that ends in a `/stream` detach still answers strictly in order.
+//! that ends in a `/stream` still answers strictly in order.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -118,9 +118,8 @@ fn pipelined_batch_ending_in_stream_detach_stays_in_order_when_sharded() {
         );
     }
 
-    // The stream is last: the loop flushes the queued replies, then
-    // detaches the socket to a worker that streams chunked frames and a
-    // final result document.
+    // The stream is last: its chunked frames and final result document
+    // reach the socket only after the queued replies ahead of it.
     let stream = conn.recv_chunked().expect("streamed tail reply");
     assert_eq!(stream.status, 200);
     assert_eq!(

@@ -416,7 +416,6 @@ const STD_METHODS: &[&str] = &[
     "trim_end",
     "trim_start",
     "truncate",
-    "try_clone",
     "try_lock",
     "try_recv",
     "unwrap",

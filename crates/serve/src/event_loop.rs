@@ -1,23 +1,28 @@
 //! One event loop of the sharded serving core.
 //!
 //! Each [`EventLoop`] owns a full single-threaded serving stack: its own
-//! `fair_aio::Poller`, listener (a `SO_REUSEPORT` group member or a dup of
-//! one shared listener), connection slab, [`TimerWheel`], wake eventfd, and
-//! completion queue. Nothing here is locked on the hot path — the only
-//! state shared *between* loops is the result cache (sharded, single-flight
-//! deduped), the tile store, the bounded [`WorkerPool`], and the shutdown
-//! latch, all reached through [`Service`]. Even the `/metrics` counters are
-//! loop-local blocks ([`Service::register_loop_stats`]) folded together at
-//! snapshot time.
+//! `fair_aio::Poller`, listener (a `SO_REUSEPORT` group member, or the
+//! only listener of a single-loop server), connection slab, [`TimerWheel`],
+//! wake eventfd, and completion queue. Nothing here is locked on the hot
+//! path — the only state shared *between* loops is the result cache
+//! (sharded, single-flight deduped), the tile store, the bounded
+//! [`WorkerPool`], and the shutdown latch, all reached through [`Service`].
+//! Even the `/metrics` counters are loop-local blocks
+//! ([`Service::register_loop_stats`]) folded together at snapshot time.
 //!
 //! The warm path never leaves the loop: parse a buffered head, probe the
 //! result cache, serialize the response head, and gather head + shared
 //! `Arc` body into one vectored write. Cold `/estimate`s and `/stream`
 //! responses run on the shared pool (429 when the queue refuses,
-//! per-request deadline 503s); a finished cold job pushes its response onto
-//! *its* loop's completion queue and rings *that* loop's waker, so replies
-//! always splice back into the connection's pipeline slot on the thread
-//! that owns it — pipelined responses never reorder, sharded or not.
+//! per-request deadline 503s). There is one I/O model: a worker never
+//! touches a socket. A finished cold job pushes its serialized response
+//! onto *its* loop's completion queue and rings *that* loop's waker; a
+//! `/stream` job writes into a [`StreamSink`] that pushes each flushed
+//! chunk the same way and an end marker when the job finishes. Either
+//! way the bytes splice into the connection's pipeline slot on the thread
+//! that owns it, so pipelined responses never reorder, sharded or not,
+//! and write backpressure and the timer wheel cover streams like any
+//! other reply.
 //!
 //! Shutdown is a coordinated drain: every loop stops polling at the latch,
 //! meets at the [`DrainBarrier`], one loop drains the shared pool, and then
@@ -171,19 +176,17 @@ impl OutBuf {
 }
 
 /// One request's slot in a connection's response pipeline. Slots serialize
-/// in FIFO order; a `Busy` slot (cold job on the pool) blocks later ready
-/// responses from flushing, which is exactly HTTP pipelining's ordering
-/// contract.
+/// in FIFO order; a `Busy` slot (a cold estimate or a stream on the pool)
+/// blocks later responses from flushing until its job is `done`, which is
+/// exactly HTTP pipelining's ordering contract. At the front, a `Busy`
+/// slot flushes the bytes its job has sent so far.
 enum Pending {
     Ready(Response, bool),
-    Busy { job: u64, keep_alive: bool },
-}
-
-/// What routing decided for one parsed request.
-enum Routed {
-    Reply(Response),
-    Offloaded { job: u64 },
-    Stream(Box<Request>),
+    Busy {
+        job: u64,
+        bytes: Vec<u8>,
+        done: bool,
+    },
 }
 
 struct Conn {
@@ -202,21 +205,73 @@ struct Conn {
     /// Interest currently registered with the poller.
     registered: Interest,
     last_activity: Instant,
-    /// A `/stream` request parked until earlier pipelined responses
-    /// drain, at which point the connection detaches to a worker.
-    deferred_stream: Option<Box<Request>>,
 }
 
+/// Wire bytes a job sent to its pipeline slot; `done` marks its last.
 struct Completion {
     token: Token,
     job: u64,
-    resp: Response,
+    bytes: Vec<u8>,
+    done: bool,
+}
+
+/// A worker's way back to the loop: the owning loop's completion queue,
+/// its waker, and the `(token, job)` address of the pipeline slot.
+struct Courier {
+    token: Token,
+    job: u64,
+    completions: Arc<Mutex<Vec<Completion>>>,
+    waker: Waker,
+}
+
+impl Courier {
+    fn send(&self, bytes: Vec<u8>, done: bool) {
+        {
+            let mut queue = self.completions.lock().unwrap_or_else(|e| e.into_inner());
+            queue.push(Completion {
+                token: self.token,
+                job: self.job,
+                bytes,
+                done,
+            });
+        }
+        // Guard dropped before ringing the loop.
+        self.waker.wake();
+    }
+}
+
+/// The `Write` end a `/stream` job runs on: each `flush()` ships the
+/// buffered bytes to the loop as one completion, and dropping the sink
+/// (the job finished) ships the rest with the end marker.
+struct StreamSink {
+    courier: Courier,
+    buf: Vec<u8>,
+}
+
+impl Write for StreamSink {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        self.buf.extend_from_slice(data);
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        if !self.buf.is_empty() {
+            self.courier.send(std::mem::take(&mut self.buf), false);
+        }
+        Ok(())
+    }
+}
+
+impl Drop for StreamSink {
+    fn drop(&mut self) {
+        self.courier.send(std::mem::take(&mut self.buf), true);
+    }
 }
 
 /// Everything a loop shares with (or receives from) the coordinator.
 pub(crate) struct LoopSpec {
-    /// This loop's listener: a reuseport group member, a dup of one shared
-    /// listener, or (single-loop) the only listener.
+    /// This loop's listener: a reuseport group member, or (single-loop)
+    /// the only listener.
     pub listener: TcpListener,
     pub service: Arc<Service>,
     pub config: ServerConfig,
@@ -320,10 +375,6 @@ impl EventLoop {
         result
     }
 
-    fn try_submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
-        self.pool.try_submit(job)
-    }
-
     // ---- accept -------------------------------------------------------
 
     fn accept_burst(&mut self) {
@@ -344,14 +395,9 @@ impl EventLoop {
         }
         let _ = stream.set_nodelay(true);
         let now = Instant::now();
-        let idx = match self.free.pop() {
-            Some(idx) => idx,
-            None => {
-                self.conns.push(None);
-                self.gens.push(0);
-                self.conns.len() - 1
-            }
-        };
+        // Claim the slot only once registration succeeded, so a failed
+        // register leaks neither a recycled index nor a fresh one.
+        let idx = self.free.last().copied().unwrap_or(self.conns.len());
         let gen = self.gens.get(idx).copied().unwrap_or(0);
         let token = token_for(idx, gen);
         if self
@@ -360,6 +406,10 @@ impl EventLoop {
             .is_err()
         {
             return;
+        }
+        if self.free.pop().is_none() {
+            self.conns.push(None);
+            self.gens.push(0);
         }
         let conn = Conn {
             stream,
@@ -371,7 +421,6 @@ impl EventLoop {
             close_after_drain: false,
             registered: Interest::READ,
             last_activity: now,
-            deferred_stream: None,
         };
         if let Some(slot) = self.conns.get_mut(idx) {
             *slot = Some(conn);
@@ -447,10 +496,7 @@ impl EventLoop {
                 let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                     return;
                 };
-                if conn.close_after_drain
-                    || conn.deferred_stream.is_some()
-                    || conn.pending.len() >= self.config.max_pipeline
-                {
+                if conn.close_after_drain || conn.pending.len() >= self.config.max_pipeline {
                     None
                 } else {
                     match http::split_head(&conn.buf) {
@@ -485,30 +531,16 @@ impl EventLoop {
             // Stage 2: route without holding the connection borrow.
             match parsed {
                 Ok(req) => {
-                    let keep_alive = req.wants_keep_alive() && !req.has_body();
+                    // A stream's response is `Connection: close`.
+                    let keep_alive =
+                        req.wants_keep_alive() && !req.has_body() && req.path != "/stream";
                     let gen = self.gens.get(idx).copied().unwrap_or(0);
-                    let routed = self.route(idx, gen, req, arrival);
+                    let slot = self.route(idx, gen, req, arrival, keep_alive);
                     let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                         return;
                     };
-                    match routed {
-                        Routed::Reply(resp) => {
-                            conn.pending.push_back(Pending::Ready(resp, keep_alive));
-                        }
-                        Routed::Offloaded { job } => {
-                            conn.pending.push_back(Pending::Busy { job, keep_alive });
-                        }
-                        Routed::Stream(req) => {
-                            // Park until earlier pipelined output drains,
-                            // then the connection detaches to a worker.
-                            conn.deferred_stream = Some(req);
-                            conn.no_more_reads = true;
-                        }
-                    }
+                    conn.pending.push_back(slot);
                     if !keep_alive {
-                        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                            return;
-                        };
                         conn.close_after_drain = true;
                         conn.no_more_reads = true;
                     }
@@ -534,86 +566,121 @@ impl EventLoop {
         self.conn_maintain(idx);
     }
 
-    /// Routes one request: deadline guard, `/stream` detach, warm-or-cold
-    /// service verdict, pool submission with inline 429/503 on refusal.
-    fn route(&mut self, idx: usize, gen: u64, req: Request, arrival: Instant) -> Routed {
+    /// Routes one request to its pipeline slot: deadline guard, then
+    /// `/stream` or the warm-or-cold service verdict, with cold work and
+    /// streams submitted to the pool (inline 429/503 on refusal).
+    fn route(
+        &mut self,
+        idx: usize,
+        gen: u64,
+        req: Request,
+        arrival: Instant,
+        keep_alive: bool,
+    ) -> Pending {
         let deadline = self.config.deadline;
         if arrival.elapsed() > deadline {
-            ServerStats::bump(&self.stats.deadline_expired);
-            let resp = Response::error(503, "deadline expired before service")
-                .with_header("Retry-After", "1");
-            self.stats.count_status(resp.status);
-            return Routed::Reply(resp);
+            return Pending::Ready(deadline_expired(&self.stats), keep_alive);
         }
-        if req.path == "/stream" {
-            return Routed::Stream(Box::new(req));
-        }
-        match self.service.begin(&req) {
-            Verdict::Reply(resp) => Routed::Reply(resp),
-            Verdict::Offload(ticket) => {
-                let job = self.next_job;
-                self.next_job += 1;
-                let token = token_for(idx, gen);
-                let service = Arc::clone(&self.service);
-                let completions = Arc::clone(&self.completions);
-                let waker = self.waker.clone();
-                let submitted = self.try_submit(move || {
-                    let resp = if arrival.elapsed() > deadline {
-                        // The job sat in the queue past its deadline:
-                        // answer a bounded 503 instead of serving late.
-                        ServerStats::bump(&service.stats.deadline_expired);
-                        let resp = Response::error(503, "deadline expired before service")
-                            .with_header("Retry-After", "1");
-                        service.stats.count_status(resp.status);
-                        resp
-                    } else {
-                        service.estimate_finish(ticket)
-                    };
-                    {
-                        let mut queue = completions.lock().unwrap_or_else(|e| e.into_inner());
-                        queue.push(Completion { token, job, resp });
-                    }
-                    // Guard dropped before ringing the loop.
-                    waker.wake();
-                });
-                match submitted {
-                    Ok(()) => Routed::Offloaded { job },
-                    Err(SubmitError::QueueFull) => {
-                        ServerStats::bump(&self.stats.rejected_queue_full);
-                        let resp = Response::error(429, "server overloaded, retry later")
-                            .with_header("Retry-After", "1");
-                        self.stats.count_status(resp.status);
-                        Routed::Reply(resp)
-                    }
-                    Err(SubmitError::ShuttingDown) => {
-                        ServerStats::bump(&self.stats.rejected_shutdown);
-                        let resp = Response::error(503, "server is shutting down");
-                        self.stats.count_status(resp.status);
-                        Routed::Reply(resp)
-                    }
+        // Warm verdicts return here, before any job bookkeeping.
+        let ticket = if req.path == "/stream" {
+            None
+        } else {
+            match self.service.begin(&req) {
+                Verdict::Reply(resp) => return Pending::Ready(resp, keep_alive),
+                Verdict::Offload(ticket) => Some(ticket),
+            }
+        };
+        let job = self.next_job;
+        self.next_job += 1;
+        let courier = Courier {
+            token: token_for(idx, gen),
+            job,
+            completions: Arc::clone(&self.completions),
+            waker: self.waker.clone(),
+        };
+        let service = Arc::clone(&self.service);
+        let submitted = match ticket {
+            None => self.pool.try_submit(move || {
+                let mut sink = StreamSink {
+                    courier,
+                    buf: Vec::new(),
+                };
+                crate::streaming::handle(&service, &mut sink, &req);
+            }),
+            Some(ticket) => self.pool.try_submit(move || {
+                let resp = if arrival.elapsed() > deadline {
+                    // The job sat in the queue past its deadline:
+                    // answer a bounded 503 instead of serving late.
+                    deadline_expired(&service.stats)
+                } else {
+                    service.estimate_finish(ticket)
+                };
+                // A cold reply is a one-chunk stream.
+                let mut bytes = resp.head_bytes(keep_alive);
+                bytes.extend_from_slice(resp.body.as_slice());
+                courier.send(bytes, true);
+            }),
+        };
+        let refused = match submitted {
+            Ok(()) => {
+                return Pending::Busy {
+                    job,
+                    bytes: Vec::new(),
+                    done: false,
                 }
             }
-        }
+            Err(SubmitError::QueueFull) => {
+                ServerStats::bump(&self.stats.rejected_queue_full);
+                Response::error(429, "server overloaded, retry later")
+                    .with_header("Retry-After", "1")
+            }
+            Err(SubmitError::ShuttingDown) => {
+                ServerStats::bump(&self.stats.rejected_shutdown);
+                Response::error(503, "server is shutting down")
+            }
+        };
+        self.stats.count_status(refused.status);
+        Pending::Ready(refused, keep_alive)
     }
 
     /// Serializes the contiguous ready prefix of the pipeline into the
     /// write queue (head bytes built here; bodies ride as-is, shared
-    /// cache bodies without a copy).
+    /// cache bodies without a copy). A front `Busy` slot hands over the
+    /// bytes it has so far and blocks later slots until its job is done.
     fn flush_ready(&mut self, idx: usize) {
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
-        while matches!(conn.pending.front(), Some(Pending::Ready(..))) {
-            let Some(Pending::Ready(resp, keep_alive)) = conn.pending.pop_front() else {
-                break;
-            };
-            let head = resp.head_bytes(keep_alive);
-            conn.out.push_back(OutBuf {
-                head,
-                head_pos: 0,
-                body: resp.body,
-                body_pos: 0,
-            });
+        loop {
+            match conn.pending.front_mut() {
+                Some(Pending::Ready(..)) => {
+                    let Some(Pending::Ready(resp, keep_alive)) = conn.pending.pop_front() else {
+                        break;
+                    };
+                    conn.out.push_back(OutBuf {
+                        head: resp.head_bytes(keep_alive),
+                        head_pos: 0,
+                        body: resp.body,
+                        body_pos: 0,
+                    });
+                }
+                Some(Pending::Busy { bytes, done, .. }) => {
+                    let done = *done;
+                    if !bytes.is_empty() {
+                        conn.out.push_back(OutBuf {
+                            head: std::mem::take(bytes),
+                            head_pos: 0,
+                            body: Body::Bytes(Vec::new()),
+                            body_pos: 0,
+                        });
+                    }
+                    if !done {
+                        break;
+                    }
+                    conn.pending.pop_front();
+                }
+                None => break,
+            }
         }
     }
 
@@ -658,19 +725,16 @@ impl EventLoop {
         }
     }
 
-    /// Post-pump maintenance: detach a parked `/stream` once its turn
-    /// comes, close fully-drained connections, and re-sync poller
-    /// interest (read backpressure, write interest only while output is
-    /// queued).
+    /// Post-pump maintenance: close fully-drained connections and re-sync
+    /// poller interest (read backpressure, write interest only while
+    /// output is queued).
     fn conn_maintain(&mut self, idx: usize) {
-        let (detach, close, desired) = {
+        let (close, desired) = {
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                 return;
             };
-            let drained = conn.pending.is_empty() && conn.out.is_empty();
-            let detach = drained && conn.deferred_stream.is_some();
-            let close = drained
-                && !detach
+            let close = conn.pending.is_empty()
+                && conn.out.is_empty()
                 && (conn.close_after_drain || (conn.no_more_reads && conn.buf.is_empty()));
             let desired = Interest {
                 readable: !conn.no_more_reads
@@ -679,12 +743,8 @@ impl EventLoop {
                 writable: !conn.out.is_empty(),
                 edge: false,
             };
-            (detach, close, desired)
+            (close, desired)
         };
-        if detach {
-            self.detach_stream(idx);
-            return;
-        }
         if close {
             self.close_conn(idx);
             return;
@@ -703,61 +763,10 @@ impl EventLoop {
         }
     }
 
-    /// Hands a `/stream` connection to the worker pool: the streaming
-    /// handler writes chunked frames live while the estimation runs, which
-    /// must not happen on the loop. The socket reverts to blocking mode
-    /// and leaves the poller entirely; the worker closes it when done.
-    fn detach_stream(&mut self, idx: usize) {
-        let Some(mut conn) = self.conns.get_mut(idx).and_then(Option::take) else {
-            return;
-        };
-        if let Some(g) = self.gens.get_mut(idx) {
-            *g += 1;
-        }
-        self.free.push(idx);
-        let _ = self.poller.deregister(conn.stream.as_fd());
-        let Some(req) = conn.deferred_stream.take() else {
-            return;
-        };
-        let _ = conn.stream.set_nonblocking(false);
-        let _ = conn.stream.set_read_timeout(Some(self.config.read_timeout));
-        let service = Arc::clone(&self.service);
-        // `try_submit` consumes its closure even on failure, so the stream
-        // rides in a shared slot the loop can take back to answer the
-        // rejection itself.
-        let slot = Arc::new(Mutex::new(Some(conn.stream)));
-        let job_slot = Arc::clone(&slot);
-        let submitted = self.try_submit(move || {
-            let taken = job_slot.lock().unwrap_or_else(|e| e.into_inner()).take();
-            if let Some(mut stream) = taken {
-                crate::streaming::handle(&service, &mut stream, &req);
-            }
-        });
-        if let Err(err) = submitted {
-            let taken = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
-            let Some(mut stream) = taken else { return };
-            let resp = match err {
-                SubmitError::QueueFull => {
-                    ServerStats::bump(&self.stats.rejected_queue_full);
-                    Response::error(429, "server overloaded, retry later")
-                        .with_header("Retry-After", "1")
-                }
-                SubmitError::ShuttingDown => {
-                    ServerStats::bump(&self.stats.rejected_shutdown);
-                    Response::error(503, "server is shutting down")
-                }
-            };
-            self.stats.count_status(resp.status);
-            // Head already parsed (no unread bytes to RST the reply away);
-            // the socket is blocking again, so a plain write suffices.
-            let _ = stream.write_all(&resp.to_bytes());
-        }
-    }
-
     // ---- completions and timers ---------------------------------------
 
-    /// Splices finished cold responses back into their connections'
-    /// pipeline slots and pumps those connections.
+    /// Splices the bytes workers sent (cold replies, stream chunks) into
+    /// their connections' pipeline slots and pumps those connections.
     fn apply_completions(&mut self) {
         let done = {
             let mut queue = self.completions.lock().unwrap_or_else(|e| e.into_inner());
@@ -777,15 +786,16 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                 continue;
             };
-            for slot in conn.pending.iter_mut() {
-                if let Pending::Busy { job, keep_alive } = slot {
-                    if *job == completion.job {
-                        *slot = Pending::Ready(completion.resp, *keep_alive);
-                        conn.last_activity = Instant::now();
-                        break;
-                    }
-                }
-            }
+            let slot = conn
+                .pending
+                .iter_mut()
+                .find(|slot| matches!(slot, Pending::Busy { job, .. } if *job == completion.job));
+            let Some(Pending::Busy { bytes, done, .. }) = slot else {
+                continue;
+            };
+            bytes.extend_from_slice(&completion.bytes);
+            *done = completion.done;
+            conn.last_activity = Instant::now();
             if !touched.contains(&idx) {
                 touched.push(idx);
             }
@@ -893,6 +903,15 @@ impl EventLoop {
             self.close_conn(idx);
         }
     }
+}
+
+/// The bounded 503 for a request whose deadline passed before service.
+fn deadline_expired(stats: &ServerStats) -> Response {
+    ServerStats::bump(&stats.deadline_expired);
+    let resp =
+        Response::error(503, "deadline expired before service").with_header("Retry-After", "1");
+    stats.count_status(resp.status);
+    resp
 }
 
 /// Consumes `n` written bytes from the front of the write queue.

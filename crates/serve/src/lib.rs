@@ -26,15 +26,16 @@
 //!   decides what runs on the loop and what goes to a worker.
 //! - `event_loop` (internal): one shard of the serving core on
 //!   [`fair_aio`] — readiness polling, HTTP/1.1 keep-alive and
-//!   pipelining, vectored writes — with cold work on a bounded
-//!   [`fair_simlab::WorkerPool`] (429 when the queue is full),
+//!   pipelining, vectored writes — with cold work and streams on a
+//!   bounded [`fair_simlab::WorkerPool`] (429 when the queue is full),
 //!   per-request deadlines (503), and a coordinated drain-then-flush
-//!   shutdown.
+//!   shutdown. One I/O model: workers never touch sockets; their output
+//!   (a cold reply, or each flushed `/stream` chunk) returns through the
+//!   loop's completion queue and the loop writes it.
 //! - [`server`]: the coordinator — binds one listener per event loop
-//!   ([`ServerConfig::loops`], `SO_REUSEPORT` accept sharding with a
-//!   dup-listener fallback), owns the shared worker pool, shutdown
-//!   latch, and drain barrier, and aggregates per-loop `/metrics`
-//!   counters.
+//!   ([`ServerConfig::loops`], `SO_REUSEPORT` accept sharding), owns the
+//!   shared worker pool, shutdown latch, and drain barrier, and
+//!   aggregates per-loop `/metrics` counters.
 //! - [`streaming`]: the chunked `GET /stream` endpoint — progressive
 //!   estimation frames with CI-bounded early stop (`epsilon=`).
 //! - [`client`]: a minimal blocking client for `fair-load` and tests.
@@ -61,6 +62,6 @@ pub mod streaming;
 pub use cache::{Lookup, ShardedCache};
 pub use client::{Conn, HttpReply};
 pub use http::{Body, Request, Response};
-pub use server::{AcceptSharding, Server, ServerConfig};
+pub use server::{Server, ServerConfig};
 pub use service::{Backend, ProgressUpdate, Service, ServiceConfig};
 pub use stats::ServerStats;

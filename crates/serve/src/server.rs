@@ -8,12 +8,12 @@
 //! one-core host) the loop runs inline on the caller's thread and the
 //! server behaves exactly like its single-threaded predecessor.
 //!
-//! Accept sharding prefers `SO_REUSEPORT`: each loop binds its own
+//! Accept sharding is `SO_REUSEPORT` only: each loop binds its own
 //! listener on the same address and the kernel hashes flows across the
-//! group — no locks, no hand-off, no thundering herd. Where reuseport is
-//! unavailable the loops fall back to nonblocking `try_clone` dups of one
-//! shared listener; accept races then resolve via `WouldBlock`, which the
-//! bounded accept burst already tolerates.
+//! group — no locks, no hand-off, no thundering herd. The loop count alone
+//! decides the mode (one plain listener, or a reuseport group), and a
+//! reuseport bind failure is returned to the caller; `fair-aio` runs on
+//! epoll, so every host that can run the loops has reuseport.
 //!
 //! Everything request-visible survives sharding unchanged: graceful drain
 //! (latch → barrier → one pool drain → per-loop flush), inline 429/503
@@ -88,29 +88,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// How the listener group was built.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AcceptSharding {
-    /// One loop, one plain listener.
-    Single,
-    /// One `SO_REUSEPORT` listener per loop; the kernel shards accepts.
-    Reuseport,
-    /// Reuseport unavailable: nonblocking dups of one shared listener,
-    /// with accept races resolved via `WouldBlock`.
-    SharedDup,
-}
-
-impl AcceptSharding {
-    /// Stable lowercase name (logged by `fair-serve`).
-    pub fn name(self) -> &'static str {
-        match self {
-            AcceptSharding::Single => "single",
-            AcceptSharding::Reuseport => "reuseport",
-            AcceptSharding::SharedDup => "shared-dup",
-        }
-    }
-}
-
 /// A bound-but-not-yet-running server.
 pub struct Server {
     listeners: Vec<TcpListener>,
@@ -118,7 +95,6 @@ pub struct Server {
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
     local_addr: SocketAddr,
-    sharding: AcceptSharding,
 }
 
 impl Server {
@@ -134,7 +110,7 @@ impl Server {
             fair_tiles::cache::install(Arc::new(store));
         }
         let loops = config.loops.max(1);
-        let (listeners, sharding) = bind_listeners(&config.addr, loops)?;
+        let listeners = bind_listeners(&config.addr, loops)?;
         for listener in &listeners {
             listener.set_nonblocking(true)?;
         }
@@ -150,7 +126,6 @@ impl Server {
             config,
             shutdown,
             local_addr,
-            sharding,
         })
     }
 
@@ -173,11 +148,6 @@ impl Server {
     /// Number of event loops this server will run.
     pub fn loops(&self) -> usize {
         self.listeners.len()
-    }
-
-    /// How accepts are sharded across the loops.
-    pub fn sharding(&self) -> AcceptSharding {
-        self.sharding
     }
 
     /// Serves until shutdown is requested, then drains and returns. Loop 0
@@ -254,26 +224,13 @@ impl Server {
     }
 }
 
-/// Builds one listener per loop. A single loop gets a plain std listener;
-/// multiple loops prefer a reuseport group (kernel accept sharding) and
-/// fall back to `try_clone` dups of one shared listener where reuseport is
-/// unavailable.
-fn bind_listeners(addr: &str, loops: usize) -> std::io::Result<(Vec<TcpListener>, AcceptSharding)> {
+/// Builds one listener per loop: a plain std listener for a single loop,
+/// a reuseport group (kernel accept sharding) for more.
+fn bind_listeners(addr: &str, loops: usize) -> std::io::Result<Vec<TcpListener>> {
     if loops <= 1 {
-        return Ok((vec![TcpListener::bind(addr)?], AcceptSharding::Single));
+        return Ok(vec![TcpListener::bind(addr)?]);
     }
-    match bind_reuseport_group(addr, loops) {
-        Ok(listeners) => Ok((listeners, AcceptSharding::Reuseport)),
-        Err(_) => {
-            let first = TcpListener::bind(addr)?;
-            let mut listeners = Vec::with_capacity(loops);
-            for _ in 1..loops {
-                listeners.push(first.try_clone()?);
-            }
-            listeners.insert(0, first);
-            Ok((listeners, AcceptSharding::SharedDup))
-        }
-    }
+    bind_reuseport_group(addr, loops)
 }
 
 /// Binds `loops` reuseport listeners on `addr`. The first bind resolves an
@@ -298,24 +255,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sharding_names_are_stable() {
-        assert_eq!(AcceptSharding::Single.name(), "single");
-        assert_eq!(AcceptSharding::Reuseport.name(), "reuseport");
-        assert_eq!(AcceptSharding::SharedDup.name(), "shared-dup");
-    }
-
-    #[test]
     fn bind_listeners_shards_by_loop_count() {
-        let (single, mode) = bind_listeners("127.0.0.1:0", 1).expect("bind 1");
+        let single = bind_listeners("127.0.0.1:0", 1).expect("bind 1");
         assert_eq!(single.len(), 1);
-        assert_eq!(mode, AcceptSharding::Single);
 
-        let (group, mode) = bind_listeners("127.0.0.1:0", 3).expect("bind 3");
+        let group = bind_listeners("127.0.0.1:0", 3).expect("bind 3");
         assert_eq!(group.len(), 3);
-        assert!(
-            matches!(mode, AcceptSharding::Reuseport | AcceptSharding::SharedDup),
-            "multi-loop bind uses a sharded mode, got {mode:?}"
-        );
         let port = group
             .first()
             .map(|l| l.local_addr().expect("addr").port())

@@ -11,6 +11,11 @@
 //! trials actually spent. The stop rule (`ci <= epsilon`) lives in
 //! `fair-core`; this layer only validates parameters and frames bytes.
 //!
+//! The handler runs on a worker and never sees the socket: the event loop
+//! hands it a `Write` sink whose every `flush()` ships the buffered bytes
+//! back to the loop, which writes them in pipeline order like any other
+//! reply. One flush per chunk is what makes frames reach the client live.
+//!
 //! Streaming responses bypass the result cache (the body depends on the
 //! live convergence trajectory, and adaptive results are keyed by epsilon,
 //! not just the point), but they share the tile store: tiles computed
@@ -26,7 +31,8 @@ use crate::stats::ServerStats;
 
 /// Handles one `/stream` request end to end on `conn` (the connection
 /// layer routes here *before* the normal request path — a streaming body
-/// needs the live socket). Counts the request and its status itself.
+/// is written while the estimation runs). Counts the request and its
+/// status itself.
 pub fn handle(service: &Service, conn: &mut dyn Write, req: &Request) {
     ServerStats::bump(&service.stats.requests);
     match validate(service, req) {

@@ -1,14 +1,16 @@
 //! End-to-end tests over a real TCP socket: a live server with a mock
 //! backend, exercising cold/warm byte identity, admission control under
-//! overload, per-request deadlines, and graceful shutdown.
+//! overload, per-request deadlines, live `/stream` frames, and graceful
+//! shutdown.
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use fair_serve::service::Backend;
-use fair_serve::{client, Conn, Server, ServerConfig};
+use fair_serve::{client, Conn, ProgressUpdate, Server, ServerConfig};
 
 /// A deterministic backend: renders a canonical-looking document and
 /// counts invocations; optionally sleeps to simulate slow estimations.
@@ -48,10 +50,72 @@ impl Backend for MockBackend {
     }
 }
 
+/// A backend whose every estimate holds until the test releases it (or
+/// 10 s pass); a progressive estimate emits one frame before holding.
+struct Gated {
+    started: AtomicUsize,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl Gated {
+    fn new() -> (Arc<Gated>, mpsc::Sender<()>) {
+        let (release, gate) = mpsc::channel();
+        let backend = Gated {
+            started: AtomicUsize::new(0),
+            release: Mutex::new(gate),
+        };
+        (Arc::new(backend), release)
+    }
+
+    fn hold(&self) -> bool {
+        self.started.fetch_add(1, Ordering::SeqCst);
+        let release = self.release.lock().expect("release lock");
+        release.recv_timeout(Duration::from_secs(10)).is_ok()
+    }
+}
+
+impl Backend for Gated {
+    fn experiments(&self) -> Vec<(String, String)> {
+        vec![("e1".to_string(), "mock".to_string())]
+    }
+
+    fn estimate(&self, _exp: &str, _trials: usize, seed: u64) -> Option<String> {
+        self.hold().then(|| format!("{{\"seed\":{seed}}}\n"))
+    }
+
+    fn estimate_progressive(
+        &self,
+        _exp: &str,
+        trials: usize,
+        _seed: u64,
+        _epsilon: f64,
+        emit: &mut dyn FnMut(ProgressUpdate),
+    ) -> Option<String> {
+        emit(ProgressUpdate {
+            scenario: "mock/gated".into(),
+            requested: trials,
+            trials: 64,
+            mean: 0.5,
+            ci: 1.0,
+            done: false,
+        });
+        self.hold().then(|| "{\"released\":true}\n".to_string())
+    }
+}
+
+/// Polls `cond` until it holds, failing the test after 10 s.
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let t0 = std::time::Instant::now();
+    while !cond() {
+        assert!(t0.elapsed() < Duration::from_secs(10), "timed out: {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Boots a server on an ephemeral port; returns its address, the serving
 /// thread's join handle, and the programmatic shutdown latch.
-fn boot(
-    backend: Arc<MockBackend>,
+fn boot<B: Backend>(
+    backend: Arc<B>,
     config: ServerConfig,
 ) -> (
     SocketAddr,
@@ -247,6 +311,87 @@ fn overload_is_answered_with_bounded_429s() {
     for r in replies.iter().filter(|r| r.status == 429) {
         assert_eq!(r.header("retry-after"), Some("1"));
     }
+    shutdown(addr, handle);
+}
+
+#[test]
+fn stream_refused_at_a_full_queue_gets_its_429_in_pipeline_order() {
+    // The overload setup above — one worker, one queue slot, a slow mock
+    // — with the slowness held by a gate so the interleaving is forced.
+    let (backend, release) = Gated::new();
+    let config = ServerConfig {
+        workers: 1,
+        queue_cap: 1,
+        ..ServerConfig::default()
+    };
+    let (addr, handle, _latch) = boot(Arc::clone(&backend), config);
+
+    // Occupy the only worker.
+    let busy = std::thread::spawn(move || {
+        client::get(addr, "/estimate?exp=e1&trials=10&seed=1").expect("answered")
+    });
+    wait_until("worker busy", || {
+        backend.started.load(Ordering::SeqCst) == 1
+    });
+    // The cold estimate takes the queue slot, so the stream behind it is
+    // refused; its 429 must still wait for the earlier reply.
+    let mut conn = Conn::connect(addr, Duration::from_secs(10)).expect("connect");
+    conn.send_many(&[
+        "/estimate?exp=e1&trials=10&seed=2",
+        "/stream?exp=e1&trials=10",
+    ])
+    .expect("pipelined send");
+    wait_until("stream refused", || {
+        let metrics = client::get(addr, "/metrics").expect("metrics");
+        metrics.text().contains("\"rejected_queue_full\": 1")
+    });
+    for _ in 0..2 {
+        release.send(()).expect("backend is waiting");
+    }
+    let first = conn.recv().expect("cold reply");
+    assert_eq!(first.status, 200);
+    assert_eq!(first.header("x-cache"), Some("miss"));
+    let refused = conn.recv().expect("stream refusal after the earlier reply");
+    assert_eq!(refused.status, 429);
+    assert_eq!(refused.header("retry-after"), Some("1"));
+    assert_eq!(refused.header("connection"), Some("close"));
+    assert!(
+        conn.recv().is_err(),
+        "the connection closes after the refusal"
+    );
+    assert_eq!(busy.join().expect("no panic").status, 200);
+    shutdown(addr, handle);
+}
+
+#[test]
+fn stream_frames_reach_the_client_while_the_estimate_runs() {
+    let (backend, release) = Gated::new();
+    let (addr, handle, _latch) = boot(backend, ServerConfig::default());
+
+    let mut sock = TcpStream::connect(addr).expect("connect");
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    sock.write_all(b"GET /stream?exp=e1&trials=640 HTTP/1.1\r\nHost: test\r\n\r\n")
+        .expect("send");
+    // The backend is still blocked after its first frame, so that frame
+    // must arrive on its own — not buffered until the job ends.
+    let mut seen = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while !String::from_utf8_lossy(&seen).contains("\"trials\":64") {
+        let n = sock
+            .read(&mut chunk)
+            .expect("first frame arrives while the estimate runs");
+        assert!(n > 0, "closed before the first frame");
+        seen.extend_from_slice(&chunk[..n]);
+    }
+    assert!(!String::from_utf8_lossy(&seen).contains("released"));
+
+    release.send(()).expect("backend is waiting");
+    sock.read_to_end(&mut seen).expect("rest of the stream");
+    let text = String::from_utf8_lossy(&seen);
+    assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+    assert!(text.contains("{\"released\":true}"), "{text}");
+    assert!(text.ends_with("0\r\n\r\n"), "terminal chunk: {text:?}");
     shutdown(addr, handle);
 }
 
