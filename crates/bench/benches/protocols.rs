@@ -1,13 +1,16 @@
 //! Criterion benchmarks for protocol executions: GMW gate throughput,
 //! engine round throughput, full fairness-experiment executions, and the
-//! tracing overhead smoke check (no-op tracer vs plain engine).
+//! tracing overhead rows (plain engine vs no-op vs recording tracer).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion, Throughput,
+};
 use fair_circuits::functions;
 use fair_core::strategy::CorruptionPlan;
-use fair_core::{run_once, Payoff};
-use fair_protocols::coin_toss::coin_toss_instance;
-use fair_protocols::scenarios::{Opt2Scenario, OptnScenario, Strategy};
+use fair_core::{run_once, Payoff, Scenario};
+use fair_protocols::scenarios::{
+    gmw_half_sweep, CoinTossScenario, Opt2Scenario, OptnScenario, Strategy,
+};
 use fair_runtime::{execute, execute_traced, Passive};
 use fair_sfe::gmw::{gmw_instance, GmwConfig};
 use fair_trace::{NoopTracer, RecordingTracer};
@@ -68,48 +71,82 @@ fn bench_optn_trial(c: &mut Criterion) {
     g.finish();
 }
 
-/// The satellite smoke check for the tracing tentpole: `execute` (which
-/// monomorphizes `execute_traced::<_, NoopTracer>`) against an explicit
-/// no-op-traced call and a recording tracer. The first two must be
-/// indistinguishable — every emission site is behind the compile-time
-/// `T::ENABLED` constant — while the recording row shows what enabling
-/// observability actually costs.
+/// Tracing overhead: `execute` (which monomorphizes
+/// `execute_traced::<_, NoopTracer>`) against an explicit no-op-traced call
+/// and a recording tracer, on the coin toss (tiny messages), Π^Opt_2SFE
+/// and Π^{1/2}_GMW at n = 5 (kilobytes of Lamport keys per message). The
+/// first two rows must be indistinguishable — every emission site is behind
+/// the compile-time `T::ENABLED` constant — while the recording row shows
+/// what enabling observability costs. Trials are built untimed.
 fn bench_trace_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("trace_overhead");
-    g.bench_function("coin_toss/untraced", |b| {
-        b.iter_batched(
-            || StdRng::seed_from_u64(7),
-            |mut rng| {
-                let inst = coin_toss_instance(&mut rng);
-                execute(inst, &mut Passive, &mut rng, 10).expect("execution succeeds")
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("coin_toss/noop_traced", |b| {
-        b.iter_batched(
-            || StdRng::seed_from_u64(7),
-            |mut rng| {
-                let inst = coin_toss_instance(&mut rng);
-                execute_traced(inst, &mut Passive, &mut rng, 10, &mut NoopTracer)
-                    .expect("execution succeeds")
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("coin_toss/recording", |b| {
-        b.iter_batched(
-            || StdRng::seed_from_u64(7),
-            |mut rng| {
-                let inst = coin_toss_instance(&mut rng);
-                let mut tracer = RecordingTracer::with_ring(256);
-                execute_traced(inst, &mut Passive, &mut rng, 10, &mut tracer)
-                    .expect("execution succeeds")
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    trace_rows(
+        &mut g,
+        "coin_toss",
+        &CoinTossScenario {
+            strategy: Strategy::NoCorruption,
+        },
+    );
+    trace_rows(
+        &mut g,
+        "opt2",
+        &Opt2Scenario {
+            strategy: Strategy::NoCorruption,
+        },
+    );
+    trace_rows(&mut g, "gmw_half", &gmw_half_sweep(5, 2).remove(0));
     g.finish();
+}
+
+/// The three `trace_overhead` rows for one scenario.
+fn trace_rows<S: Scenario>(g: &mut BenchmarkGroup<'_>, name: &str, scenario: &S) {
+    let setup = || {
+        let mut rng = StdRng::seed_from_u64(7);
+        (scenario.build(&mut rng), rng)
+    };
+    g.bench_function(format!("{name}/untraced"), |b| {
+        b.iter_batched(
+            setup,
+            |(mut t, mut rng)| {
+                execute(t.instance, t.adversary.as_mut(), &mut rng, t.max_rounds)
+                    .expect("execution succeeds")
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.bench_function(format!("{name}/noop_traced"), |b| {
+        b.iter_batched(
+            setup,
+            |(mut t, mut rng)| {
+                execute_traced(
+                    t.instance,
+                    t.adversary.as_mut(),
+                    &mut rng,
+                    t.max_rounds,
+                    &mut NoopTracer,
+                )
+                .expect("execution succeeds")
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.bench_function(format!("{name}/recording"), |b| {
+        b.iter_batched(
+            setup,
+            |(mut t, mut rng)| {
+                let mut tracer = RecordingTracer::with_ring(256);
+                execute_traced(
+                    t.instance,
+                    t.adversary.as_mut(),
+                    &mut rng,
+                    t.max_rounds,
+                    &mut tracer,
+                )
+                .expect("execution succeeds")
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 criterion_group!(

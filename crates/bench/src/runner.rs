@@ -47,6 +47,10 @@ pub fn to_report_records(reports: &[Report]) -> Vec<ReportRecord> {
 /// wall-clock latency pipeline and `fair-trace`'s deterministic
 /// per-protocol counters — returning the rendered reports and the
 /// structured execution record. `None` for an unknown id.
+///
+/// Recording costs about as much as the plain path: every trial runs
+/// through a stats-only `RecordingTracer`, whose byte counts are
+/// `fair_trace::WireLen` sizes (arithmetic over field lengths).
 pub fn run_recorded(id: &str, trials: usize, seed: u64) -> Option<(Vec<Report>, ExpRecord)> {
     run_recorded_with(id, trials, seed, None)
 }

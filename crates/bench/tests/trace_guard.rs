@@ -28,7 +28,7 @@ fn gk_config() -> GkConfig {
 /// outputs, abort flags, and rounds used all land in `Debug`).
 fn three_ways<M, F>(seed: u64, build: F) -> [String; 3]
 where
-    M: Clone + std::fmt::Debug,
+    M: Clone + std::fmt::Debug + fair_runtime::WireLen,
     F: Fn(&mut StdRng) -> (fair_runtime::Instance<M>, usize),
 {
     let run_plain = || {

@@ -19,7 +19,7 @@
 //! protocol execution stays single-threaded, preserving reproducible
 //! adversary scheduling.
 
-use fair_runtime::{execute, execute_traced, Adversary, ExecutionResult, Instance, Value};
+use fair_runtime::{execute, execute_traced, Adversary, ExecutionResult, Instance, Value, WireLen};
 use fair_trace::{ExecStats, ProtoBatch, RecordingTracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,7 +44,7 @@ pub struct Trial<M> {
 /// A repeatable experiment: protocol × environment × attack strategy.
 pub trait Scenario {
     /// The protocol's wire message type.
-    type Msg: Clone + core::fmt::Debug;
+    type Msg: Clone + core::fmt::Debug + WireLen;
 
     /// Short name for reports.
     fn name(&self) -> String;
@@ -197,7 +197,9 @@ pub fn run_once<S: Scenario>(
 /// capture are armed (see `fair_trace::{metrics, capture}`) the trial runs
 /// through a recording tracer and returns its [`ExecStats`]; otherwise it
 /// takes the plain [`execute`] path, whose only extra cost is one relaxed
-/// atomic load per trial.
+/// atomic load per trial. A stats-only recording costs about as much as
+/// the plain path: message sizes come from [`WireLen`], which neither
+/// allocates nor formats.
 pub fn run_once_traced<S: Scenario>(
     scenario: &S,
     payoff: &Payoff,

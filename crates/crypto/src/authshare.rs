@@ -120,8 +120,13 @@ impl AuthShare {
         for s in &self.summand {
             out.extend_from_slice(&s.value().to_be_bytes());
         }
-        out.extend_from_slice(&self.summand_tag.0.value().to_be_bytes());
+        out.extend_from_slice(&self.summand_tag.to_bytes());
         out
+    }
+
+    /// Encoded size: `to_bytes().len()`, computed without building it.
+    pub fn wire_len(&self) -> usize {
+        8 * (1 + self.summand.len()) + MacTag::WIRE_LEN
     }
 
     /// Parses a serialized share; `None` on malformed input.
@@ -300,6 +305,19 @@ mod tests {
         assert!(AuthShare::from_bytes(&[1, 2, 3]).is_none());
         assert!(AuthShare::from_bytes(&[0u8; 8]).is_none());
         assert!(AuthShareHolding::from_bytes(&[0u8; 5]).is_none());
+    }
+
+    #[test]
+    fn wire_sizes_match_serializations() {
+        for (seed, len) in [(7u64, 0usize), (8, 1), (9, 5)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let s: Vec<Fp> = (0..len as u64).map(Fp::new).collect();
+            let (h1, h2) = deal(&s, &mut rng);
+            for share in [&h1.share, &h2.share] {
+                assert_eq!(share.wire_len(), share.to_bytes().len());
+                assert_eq!(MacTag::WIRE_LEN, share.summand_tag.to_bytes().len());
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use rand::Rng;
 
 use crate::ct::CtEq;
 use crate::prg::random_bytes;
-use crate::sha256::{sha256_parts, Digest};
+use crate::sha256::{sha256_parts, Digest, DIGEST_LEN};
 
 /// Byte length of the commitment randomness.
 pub const OPENING_LEN: usize = 32;
@@ -18,6 +18,11 @@ pub const OPENING_LEN: usize = 32;
 /// A commitment string (a SHA-256 digest).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Commitment(pub Digest);
+
+impl Commitment {
+    /// Encoded size: the digest bytes.
+    pub const WIRE_LEN: usize = DIGEST_LEN;
+}
 
 /// The opening of a commitment: the committed message and the randomness.
 ///
@@ -53,6 +58,12 @@ impl Opening {
     /// Recomputes the commitment this opening corresponds to.
     pub fn commitment(&self) -> Commitment {
         Commitment(sha256_parts(&[&self.randomness, &self.message]))
+    }
+
+    /// Encoded size: the message, then the randomness, each as a byte
+    /// string behind a 4-byte length prefix.
+    pub fn wire_len(&self) -> usize {
+        8 + self.message.len() + self.randomness.len()
     }
 }
 
@@ -134,6 +145,16 @@ mod tests {
             randomness: vec![7; OPENING_LEN],
         };
         assert_ne!(o1.commitment(), o2.commitment());
+    }
+
+    #[test]
+    fn wire_sizes_follow_the_encoding() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for msg in [&b""[..], b"signed contract", &[0xab; 300]] {
+            let (c, o) = commit(msg, &mut rng);
+            assert_eq!(Commitment::WIRE_LEN, c.0.len());
+            assert_eq!(o.wire_len(), 4 + msg.len() + 4 + OPENING_LEN);
+        }
     }
 
     #[test]

@@ -67,6 +67,16 @@ impl PartialEq for MacTag {
 
 impl Eq for MacTag {}
 
+impl MacTag {
+    /// Encoded size: one big-endian field element.
+    pub const WIRE_LEN: usize = 8;
+
+    /// Serializes the tag ([`MacTag::WIRE_LEN`] bytes).
+    pub fn to_bytes(&self) -> [u8; Self::WIRE_LEN] {
+        self.0.value().to_be_bytes()
+    }
+}
+
 impl CtEq for MacTag {
     fn ct_eq(&self, other: &Self) -> bool {
         self == other

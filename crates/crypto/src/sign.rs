@@ -14,7 +14,7 @@ use rand::Rng;
 
 use crate::ct::{ct_eq_bytes, CtEq};
 use crate::prg::random_bytes;
-use crate::sha256::{sha256, sha256_parts, Digest};
+use crate::sha256::{sha256, sha256_parts, Digest, DIGEST_LEN};
 
 const BITS: usize = 256;
 
@@ -110,6 +110,11 @@ impl VerifyingKey {
         out
     }
 
+    /// Encoded size: `to_bytes().len()`, computed without building it.
+    pub fn wire_len(&self) -> usize {
+        self.hashes.len() * 2 * DIGEST_LEN
+    }
+
     /// Parses a serialized key; `None` on wrong length.
     pub fn from_bytes(bytes: &[u8]) -> Option<VerifyingKey> {
         if bytes.len() != BITS * 64 {
@@ -133,6 +138,11 @@ impl Signature {
             out.extend_from_slice(r);
         }
         out
+    }
+
+    /// Encoded size: `to_bytes().len()`, computed without building it.
+    pub fn wire_len(&self) -> usize {
+        self.reveals.len() * DIGEST_LEN
     }
 
     /// Parses a serialized signature; `None` on wrong length.
@@ -273,6 +283,17 @@ mod tests {
         assert_eq!(vk, vk2);
         assert_eq!(sig, sig2);
         assert!(verify(&vk2, b"payload", &sig2));
+    }
+
+    #[test]
+    fn wire_sizes_match_serializations() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let (sk, vk) = keygen(&mut rng);
+        let sig = sign(&sk, b"payload");
+        assert_eq!(vk.wire_len(), vk.to_bytes().len());
+        assert_eq!(sig.wire_len(), sig.to_bytes().len());
+        assert_eq!(vk.wire_len(), 16_384);
+        assert_eq!(sig.wire_len(), 8_192);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! unchanged, so the protocol remains *optimally* fair (experiment E9).
 
 use fair_crypto::sign::{Signature, VerifyingKey};
+use fair_runtime::wire::{WireLen, TAG};
 use fair_runtime::{Adapted, Envelope, FuncId, Instance, OutMsg, Party, PartyId, RoundCtx, Value};
 use fair_sfe::ideal::{SfeMsg, SfeWithAbort};
 use rand::rngs::StdRng;
@@ -36,6 +37,16 @@ pub enum ArtMsg {
     Vote(bool),
     /// Step 3: the signed output, broadcast or sent point-to-point.
     Reveal(Value),
+}
+
+impl WireLen for ArtMsg {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            ArtMsg::Sfe(s) => s.wire_len(),
+            ArtMsg::Vote(b) => b.wire_len(),
+            ArtMsg::Reveal(v) => v.wire_len(),
+        }
+    }
 }
 
 fn down(m: &ArtMsg) -> Option<SfeMsg> {
@@ -384,5 +395,12 @@ mod tests {
         assert!(holder_abort > 10, "holder branch seen {holder_abort}");
         assert!(private_reveal > 10, "tails branch seen {private_reveal}");
         assert!(broadcast > 20, "heads branch seen {broadcast}");
+    }
+
+    #[test]
+    fn art_msg_wire_len_per_variant() {
+        assert_eq!(ArtMsg::Sfe(SfeMsg::Abort).wire_len(), 1 + 1);
+        assert_eq!(ArtMsg::Vote(true).wire_len(), 1 + 1);
+        assert_eq!(ArtMsg::Reveal(Value::Scalar(1)).wire_len(), 1 + 9);
     }
 }

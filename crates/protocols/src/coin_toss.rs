@@ -9,6 +9,7 @@
 //! why Π2 lands at (γ₁₀+γ₁₁)/2 rather than full fairness).
 
 use fair_crypto::commit::{self, Commitment, Opening};
+use fair_runtime::wire::{WireLen, TAG};
 use fair_runtime::{Envelope, Instance, OutMsg, Party, PartyId, RoundCtx, Value};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -20,6 +21,15 @@ pub enum CoinMsg {
     Commit(Commitment),
     /// Round 1: its opening.
     Open(Opening),
+}
+
+impl WireLen for CoinMsg {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            CoinMsg::Commit(_) => Commitment::WIRE_LEN,
+            CoinMsg::Open(o) => o.wire_len(),
+        }
+    }
 }
 
 /// A coin-toss party. Outputs `Scalar(b)` for the joint coin b, or ⊥ if
@@ -224,5 +234,15 @@ mod tests {
         let inst = coin_toss_instance(&mut rng);
         let res = execute(inst, &mut Silent, &mut rng, 10).expect("execution succeeds");
         assert_eq!(res.outputs[&PartyId(1)], Value::Bot);
+    }
+
+    #[test]
+    fn coin_msg_wire_len_per_variant() {
+        assert_eq!(CoinMsg::Commit(Commitment([0; 32])).wire_len(), 1 + 32);
+        let o = Opening {
+            message: vec![1],
+            randomness: vec![0; 32],
+        };
+        assert_eq!(CoinMsg::Open(o).wire_len(), 1 + 4 + 1 + 4 + 32);
     }
 }

@@ -18,6 +18,7 @@
 
 use fair_crypto::commit::{self, Commitment, Opening};
 use fair_crypto::sign::{self, Signature, SigningKey, VerifyingKey};
+use fair_runtime::wire::{WireLen, TAG};
 use fair_runtime::{Envelope, OutMsg, Party, PartyId, RoundCtx, Value};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -34,6 +35,16 @@ pub enum ContractMsg {
     CoinOpen(Opening),
     /// Opening of the signed contract.
     Open(Opening),
+}
+
+impl WireLen for ContractMsg {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            ContractMsg::Commit(_, vk) => Commitment::WIRE_LEN + vk.wire_len(),
+            ContractMsg::CoinCommit(_) => Commitment::WIRE_LEN,
+            ContractMsg::CoinOpen(o) | ContractMsg::Open(o) => o.wire_len(),
+        }
+    }
 }
 
 /// The signed contract of party `who` (1-based), as a byte string.
@@ -465,5 +476,27 @@ mod tests {
         let keys = contract_keys(&mut rng);
         assert_eq!(contract_truth(b"x", &keys), contract_truth(b"x", &keys));
         assert_ne!(contract_truth(b"x", &keys), contract_truth(b"y", &keys));
+    }
+
+    #[test]
+    fn contract_msg_wire_len_per_variant() {
+        let c = Commitment([0; 32]);
+        let opening = |len: usize| Opening {
+            message: vec![1; len],
+            randomness: vec![0; 32],
+        };
+        assert_eq!(
+            ContractMsg::Commit(c, vec![0; 16_384]).wire_len(),
+            1 + 32 + 4 + 16_384
+        );
+        assert_eq!(ContractMsg::CoinCommit(c).wire_len(), 1 + 32);
+        assert_eq!(
+            ContractMsg::CoinOpen(opening(1)).wire_len(),
+            1 + 4 + 1 + 4 + 32
+        );
+        assert_eq!(
+            ContractMsg::Open(opening(100)).wire_len(),
+            1 + 4 + 100 + 4 + 32
+        );
     }
 }

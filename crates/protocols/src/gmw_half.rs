@@ -18,6 +18,7 @@ use fair_crypto::prg::Prg;
 use fair_crypto::share::{shamir_reconstruct, shamir_share, ShamirShare};
 use fair_crypto::sign::{self, Signature, VerifyingKey};
 use fair_field::Fp;
+use fair_runtime::wire::{WireLen, INT, TAG};
 use fair_runtime::{
     Adapted, AdvControl, Adversary, Envelope, FuncId, Instance, OutMsg, Party, PartyId, RoundCtx,
     RoundView, Value,
@@ -49,6 +50,15 @@ pub enum HalfMsg {
     Sfe(SfeMsg),
     /// Phase 2 broadcast: a signed key share (index, value, signature).
     KeyShare(u64, u64, Vec<u8>),
+}
+
+impl WireLen for HalfMsg {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            HalfMsg::Sfe(s) => s.wire_len(),
+            HalfMsg::KeyShare(_, _, sig) => 2 * INT + sig.wire_len(),
+        }
+    }
 }
 
 fn down(m: &HalfMsg) -> Option<SfeMsg> {
@@ -510,5 +520,14 @@ mod tests {
         let res = execute(instance(3), &mut ForgeShare, &mut rng, 30).expect("execution succeeds");
         // The forged share is ignored; real shares still reconstruct y.
         assert!(res.outputs.values().all(|v| *v == truth(3)));
+    }
+
+    #[test]
+    fn half_msg_wire_len_per_variant() {
+        assert_eq!(HalfMsg::Sfe(SfeMsg::Abort).wire_len(), 1 + 1);
+        assert_eq!(
+            HalfMsg::KeyShare(1, 2, vec![0; 8192]).wire_len(),
+            1 + 8 + 8 + 4 + 8192
+        );
     }
 }

@@ -21,6 +21,7 @@
 use std::sync::Arc;
 
 use fair_crypto::authshare::{self, AuthShare, AuthShareHolding};
+use fair_runtime::wire::{WireLen, INT, TAG};
 use fair_runtime::{
     Adapted, AdvControl, Adversary, Envelope, FuncId, Instance, OutMsg, Party, PartyId, RoundCtx,
     RoundView, Value,
@@ -145,6 +146,15 @@ pub enum GkMsg {
     AShare(u64, AuthShare),
     /// p₁ → p₂ in round i: p₁'s share of p₂'s candidate b_i.
     BShare(u64, AuthShare),
+}
+
+impl WireLen for GkMsg {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            GkMsg::Sfe(s) => s.wire_len(),
+            GkMsg::AShare(_, share) | GkMsg::BShare(_, share) => INT + share.wire_len(),
+        }
+    }
 }
 
 fn down(m: &GkMsg) -> Option<SfeMsg> {
@@ -762,5 +772,19 @@ mod tests {
         let mut adv = GkAttack::new(AbortRule::AtRound(1));
         let res = execute(inst, &mut adv, &mut rng, 3 * m + 20).expect("execution succeeds");
         assert_eq!(res.outputs[&PartyId(1)], Value::Scalar(0));
+    }
+
+    #[test]
+    fn gk_msg_wire_len_per_variant() {
+        let share = AuthShare {
+            summand: vec![fair_field::Fp::new(1)],
+            summand_tag: fair_crypto::mac::MacTag(fair_field::Fp::new(2)),
+        };
+        assert_eq!(GkMsg::Sfe(SfeMsg::Output(Value::Bot)).wire_len(), 1 + 1 + 1);
+        assert_eq!(
+            GkMsg::AShare(3, share.clone()).wire_len(),
+            1 + 8 + 8 + 8 + 8
+        );
+        assert_eq!(GkMsg::BShare(3, share).wire_len(), 1 + 8 + 8 + 8 + 8);
     }
 }

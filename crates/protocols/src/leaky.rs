@@ -15,6 +15,7 @@
 //! the input leak in step 2 cannot be simulated. Experiment E12 measures
 //! both sides of the separation.
 
+use fair_runtime::wire::{WireLen, TAG};
 use fair_runtime::{Envelope, Instance, OutMsg, Party, PartyId, RoundCtx, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -34,6 +35,16 @@ pub enum LeakyMsg {
     Reply(Option<u64>),
     /// Steps 3+: the embedded 1/4-secure AND protocol.
     Gk(GkMsg),
+}
+
+impl WireLen for LeakyMsg {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            LeakyMsg::FirstBit(b) => b.wire_len(),
+            LeakyMsg::Reply(x) => x.wire_len(),
+            LeakyMsg::Gk(m) => m.wire_len(),
+        }
+    }
 }
 
 fn translate_out(msgs: Vec<OutMsg<GkMsg>>) -> Vec<OutMsg<LeakyMsg>> {
@@ -339,5 +350,14 @@ mod tests {
             zeros as f64 / trials as f64 > 0.8,
             "z1 = 0 in {zeros}/{trials}"
         );
+    }
+
+    #[test]
+    fn leaky_msg_wire_len_per_variant() {
+        assert_eq!(LeakyMsg::FirstBit(true).wire_len(), 1 + 1);
+        assert_eq!(LeakyMsg::Reply(None).wire_len(), 1 + 1);
+        assert_eq!(LeakyMsg::Reply(Some(5)).wire_len(), 1 + 1 + 8);
+        let sfe = GkMsg::Sfe(fair_sfe::ideal::SfeMsg::Abort);
+        assert_eq!(LeakyMsg::Gk(sfe).wire_len(), 1 + 1 + 1);
     }
 }

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use fair_crypto::mac::{pack_bytes, unpack_bytes};
 use fair_crypto::share::{additive_reconstruct_vec, additive_share_vec};
 use fair_field::Fp;
+use fair_runtime::wire::{WireLen, INT, LEN_PREFIX, TAG};
 use fair_runtime::{Adapted, Envelope, FuncId, Instance, OutMsg, Party, PartyId, RoundCtx, Value};
 use fair_sfe::ideal::{SfeMsg, SfeWithAbort};
 use fair_sfe::spec::{IdealOutput, IdealSpec};
@@ -30,6 +31,15 @@ pub enum OneRoundMsg {
     Sfe(SfeMsg),
     /// Phase 2: this party's summand (field elements as u64s).
     Summand(Vec<u64>),
+}
+
+impl WireLen for OneRoundMsg {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            OneRoundMsg::Sfe(s) => s.wire_len(),
+            OneRoundMsg::Summand(xs) => LEN_PREFIX + INT * xs.len(),
+        }
+    }
 }
 
 fn down(m: &OneRoundMsg) -> Option<SfeMsg> {
@@ -318,5 +328,11 @@ mod tests {
         let mut adv = LockAndAbort::new(CorruptionPlan::Fixed(vec![0]), any_output());
         let res = execute(instance(), &mut adv, &mut rng, 30).expect("execution succeeds");
         assert_eq!(res.outputs[&PartyId(1)], y());
+    }
+
+    #[test]
+    fn one_round_msg_wire_len_per_variant() {
+        assert_eq!(OneRoundMsg::Sfe(SfeMsg::Abort).wire_len(), 1 + 1);
+        assert_eq!(OneRoundMsg::Summand(vec![1, 2, 3]).wire_len(), 1 + 4 + 24);
     }
 }

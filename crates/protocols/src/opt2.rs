@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use fair_crypto::authshare::{self, AuthShare, AuthShareHolding};
 use fair_crypto::mac::{pack_bytes, unpack_bytes};
+use fair_runtime::wire::{WireLen, TAG};
 use fair_runtime::{Adapted, Envelope, FuncId, Instance, OutMsg, Party, PartyId, RoundCtx, Value};
 use fair_sfe::ideal::{SfeMsg, SfeWithAbort};
 use fair_sfe::spec::{IdealOutput, IdealSpec};
@@ -44,6 +45,15 @@ pub enum Opt2Msg {
     Sfe(SfeMsg),
     /// Phase 2: the counterparty's authenticated share.
     Share(AuthShare),
+}
+
+impl WireLen for Opt2Msg {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            Opt2Msg::Sfe(s) => s.wire_len(),
+            Opt2Msg::Share(share) => share.wire_len(),
+        }
+    }
 }
 
 fn down(m: &Opt2Msg) -> Option<SfeMsg> {
@@ -500,5 +510,19 @@ mod tests {
             *out == Value::Bot || *out == default,
             "unexpected honest output {out}"
         );
+    }
+
+    #[test]
+    fn opt2_msg_wire_len_per_variant() {
+        assert_eq!(
+            Opt2Msg::Sfe(SfeMsg::Input(Value::Scalar(1))).wire_len(),
+            1 + 1 + 9
+        );
+        let share = AuthShare {
+            summand: vec![fair_field::Fp::new(1); 3],
+            summand_tag: fair_crypto::mac::MacTag(fair_field::Fp::new(2)),
+        };
+        // tag + count + three summands + MAC tag
+        assert_eq!(Opt2Msg::Share(share).wire_len(), 1 + 8 + 24 + 8);
     }
 }

@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use fair_crypto::sign::{self, Signature, VerifyingKey};
+use fair_runtime::wire::{WireLen, TAG};
 use fair_runtime::{Adapted, Envelope, FuncId, Instance, OutMsg, Party, RoundCtx, Value};
 use fair_sfe::ideal::{SfeMsg, SfeWithAbort};
 use fair_sfe::spec::{IdealOutput, IdealSpec};
@@ -35,6 +36,15 @@ pub enum OptnMsg {
     /// Phase 2: broadcast of a party's private phase-1 output
     /// (⊥, or the signed output pair).
     Announce(Value),
+}
+
+impl WireLen for OptnMsg {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            OptnMsg::Sfe(s) => s.wire_len(),
+            OptnMsg::Announce(v) => v.wire_len(),
+        }
+    }
 }
 
 fn down(m: &OptnMsg) -> Option<SfeMsg> {
@@ -342,5 +352,12 @@ mod tests {
         for v in res.outputs.values() {
             assert_ne!(v, &Value::Scalar(666), "forged output must not be adopted");
         }
+    }
+
+    #[test]
+    fn optn_msg_wire_len_per_variant() {
+        assert_eq!(OptnMsg::Sfe(SfeMsg::Abort).wire_len(), 1 + 1);
+        let signed = Value::pair(Value::Scalar(1), Value::Bytes(vec![0; 8]));
+        assert_eq!(OptnMsg::Announce(signed).wire_len(), 1 + 1 + 9 + 13);
     }
 }

@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fair_trace::{debug_len, Dst, NoopTracer, Src, TraceEvent, Tracer};
+use fair_trace::{Dst, NoopTracer, Src, TraceEvent, Tracer, WireLen};
 use rand::rngs::StdRng;
 
 use crate::adversary::{AdvControl, Adversary, RoundView};
@@ -100,7 +100,7 @@ pub const DEFAULT_MAX_ROUNDS: usize = 10_000;
 /// party, when a message is routed to a functionality the instance lacks,
 /// or when an engine-internal invariant breaks. Malformed adversarial input
 /// is a typed error, never a panic.
-pub fn execute<M: Clone + core::fmt::Debug>(
+pub fn execute<M: Clone + core::fmt::Debug + WireLen>(
     instance: Instance<M>,
     adversary: &mut dyn Adversary<M>,
     rng: &mut StdRng,
@@ -135,12 +135,14 @@ fn trace_dst(d: Destination) -> Dst {
 /// constant, so with [`NoopTracer`] this monomorphizes to exactly the
 /// untraced engine: no event is built, no corruption set is snapshotted,
 /// no message is measured. [`execute`] itself is that instantiation.
+/// With tracing on, each `Send` event carries the message's encoded size
+/// ([`WireLen`]), which is arithmetic over field lengths.
 ///
 /// # Errors
 ///
 /// Identical to [`execute`] — tracing observes the execution and never
 /// changes its outcome.
-pub fn execute_traced<M: Clone + core::fmt::Debug, T: Tracer>(
+pub fn execute_traced<M: Clone + core::fmt::Debug + WireLen, T: Tracer>(
     instance: Instance<M>,
     adversary: &mut dyn Adversary<M>,
     rng: &mut StdRng,
@@ -306,7 +308,7 @@ pub fn execute_traced<M: Clone + core::fmt::Debug, T: Tracer>(
                 tracer.event(&TraceEvent::Send {
                     from: trace_src(from),
                     to: trace_dst(out.to),
-                    len: debug_len(&out.msg),
+                    len: out.msg.wire_len(),
                 });
             }
             match out.to {
@@ -369,7 +371,7 @@ pub fn execute_traced<M: Clone + core::fmt::Debug, T: Tracer>(
                     tracer.event(&TraceEvent::Send {
                         from: Src::Func(fi),
                         to: trace_dst(out.to),
-                        len: debug_len(&out.msg),
+                        len: out.msg.wire_len(),
                     });
                 }
                 match out.to {
@@ -683,14 +685,14 @@ mod tests {
             .map(|e| e.render())
             .collect();
         // p0 is corrupted up front and stays silent; p1 sends its input in
-        // round 0 (debug_len of `20u64` is 2 bytes), waits one round for a
+        // round 0 (a `u64` is 8 bytes on the wire), waits one round for a
         // reply that never comes, and aborts with ⊥.
         assert_eq!(
             lines,
             vec![
                 "corrupt p0 round=0",
                 "round 0",
-                "send from=p1 to=p0 len=2",
+                "send from=p1 to=p0 len=8",
                 "round 1",
                 "round 2",
                 "output p1 bot=true",

@@ -66,3 +66,6 @@ pub use func::{FuncCtx, Functionality, Ledger};
 pub use msg::{Destination, Endpoint, Envelope, FuncId, OutMsg, PartyId};
 pub use party::{run_isolated, run_isolated_seq, Party, RoundCtx};
 pub use value::Value;
+
+/// Message types the engine executes report their encoded size.
+pub use fair_trace::wire::{self, WireLen};

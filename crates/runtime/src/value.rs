@@ -7,6 +7,8 @@
 
 use core::fmt;
 
+use fair_trace::wire::{bytes_len, WireLen, INT, LEN_PREFIX, TAG};
+
 /// A protocol input/output value.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Value {
@@ -165,6 +167,21 @@ impl Value {
     }
 }
 
+/// One tag byte, then the variant's fields: a scalar is one integer, a byte
+/// string is length-prefixed, a pair is its two values back to back, and a
+/// tuple is an element count followed by its values.
+impl WireLen for Value {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            Value::Bot => 0,
+            Value::Scalar(_) => INT,
+            Value::Bytes(b) => bytes_len(b.len()),
+            Value::Pair(a, b) => a.wire_len() + b.wire_len(),
+            Value::Tuple(vs) => LEN_PREFIX + vs.iter().map(WireLen::wire_len).sum::<usize>(),
+        }
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -297,6 +314,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn wire_len_follows_the_encoding_rule() {
+        assert_eq!(Value::Bot.wire_len(), 1);
+        assert_eq!(Value::Scalar(u64::MAX).wire_len(), 1 + 8);
+        assert_eq!(Value::Bytes(vec![0; 10]).wire_len(), 1 + 4 + 10);
+        assert_eq!(
+            Value::pair(Value::Scalar(1), Value::Bot).wire_len(),
+            1 + 9 + 1
+        );
+        assert_eq!(
+            Value::Tuple(vec![Value::Scalar(1), Value::Bytes(vec![7])]).wire_len(),
+            1 + 4 + 9 + 6
+        );
     }
 
     #[test]

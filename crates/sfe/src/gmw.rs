@@ -28,6 +28,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fair_circuits::{bits_to_u64, Circuit, Gate};
+use fair_runtime::wire::{bits_len, WireLen, TAG};
 use fair_runtime::{Envelope, FuncCtx, Functionality, OutMsg, Party, PartyId, RoundCtx, Value};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -47,6 +48,18 @@ pub enum GmwMsg {
     Open(Vec<(bool, bool)>),
     /// Broadcast: this party's shares of the output wires.
     OutShare(Vec<bool>),
+}
+
+/// Every payload is bits, packed: a triple share is three bits and a
+/// masked opening two.
+impl WireLen for GmwMsg {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            GmwMsg::InputShare(bits) | GmwMsg::OutShare(bits) => bits.wire_len(),
+            GmwMsg::Triples(triples) => bits_len(3 * triples.len()),
+            GmwMsg::Open(openings) => bits_len(2 * openings.len()),
+        }
+    }
 }
 
 /// Static, shareable GMW configuration: the circuit, the per-party input
@@ -640,5 +653,16 @@ mod tests {
     fn config_rejects_bad_widths() {
         let result = std::panic::catch_unwind(|| GmwConfig::new(functions::and1(), vec![1, 2]));
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn gmw_msg_wire_len_per_variant() {
+        assert_eq!(GmwMsg::InputShare(vec![true; 9]).wire_len(), 1 + 4 + 2);
+        assert_eq!(
+            GmwMsg::Triples(vec![(true, false, true); 3]).wire_len(),
+            1 + 4 + 2
+        );
+        assert_eq!(GmwMsg::Open(vec![(true, true); 4]).wire_len(), 1 + 4 + 1);
+        assert_eq!(GmwMsg::OutShare(vec![]).wire_len(), 1 + 4);
     }
 }

@@ -22,6 +22,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use fair_runtime::wire::{WireLen, TAG};
 use fair_runtime::{
     Destination, Endpoint, Envelope, FuncCtx, Functionality, OutMsg, PartyId, Value,
 };
@@ -39,6 +40,15 @@ pub enum SfeMsg {
     /// Adversary → functionality: abort. Functionality → party: the
     /// evaluation aborted.
     Abort,
+}
+
+impl WireLen for SfeMsg {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            SfeMsg::Input(v) | SfeMsg::Output(v) => v.wire_len(),
+            SfeMsg::Abort => 0,
+        }
+    }
 }
 
 /// Rounds the functionality waits for missing inputs before aborting.
@@ -276,6 +286,16 @@ pub enum RandMsg {
     /// Adversary → functionality: abort — undelivered honest outputs are
     /// replaced by samples from the replacement distribution and delivered.
     Abort,
+}
+
+impl WireLen for RandMsg {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            RandMsg::Input(v) | RandMsg::Output(v) => v.wire_len(),
+            RandMsg::Deliver(i) => i.wire_len(),
+            RandMsg::Abort => 0,
+        }
+    }
 }
 
 /// Replacement distribution for F^$: given the party index and that party's
@@ -633,5 +653,20 @@ mod tests {
             "honest output was replaced"
         );
         assert!(res.ledger.get("replaced_2").is_some());
+    }
+
+    #[test]
+    fn sfe_msg_wire_len_per_variant() {
+        assert_eq!(SfeMsg::Input(Value::Scalar(3)).wire_len(), 1 + 9);
+        assert_eq!(SfeMsg::Output(Value::Bytes(vec![0; 5])).wire_len(), 1 + 10);
+        assert_eq!(SfeMsg::Abort.wire_len(), 1);
+    }
+
+    #[test]
+    fn rand_msg_wire_len_per_variant() {
+        assert_eq!(RandMsg::Input(Value::Bot).wire_len(), 1 + 1);
+        assert_eq!(RandMsg::Output(Value::Scalar(1)).wire_len(), 1 + 9);
+        assert_eq!(RandMsg::Deliver(1).wire_len(), 1 + 8);
+        assert_eq!(RandMsg::Abort.wire_len(), 1);
     }
 }

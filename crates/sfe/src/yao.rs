@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use fair_circuits::{bits_to_u64, Circuit, Gate};
 use fair_crypto::sha256::sha256_parts;
+use fair_runtime::wire::{bytes_len, WireLen, INT, LEN_PREFIX, TAG};
 use fair_runtime::{
     Envelope, FuncCtx, Functionality, Instance, OutMsg, Party, PartyId, RoundCtx, Value,
 };
@@ -283,6 +284,30 @@ pub enum YaoMsg {
     Garbled(Box<GarbledCircuitWire>),
     /// Evaluator → garbler: the decoded output bits.
     Output(Vec<bool>),
+}
+
+impl WireLen for YaoMsg {
+    fn wire_len(&self) -> usize {
+        TAG + match self {
+            YaoMsg::OtChoose(bits) | YaoMsg::Output(bits) => bits.wire_len(),
+            YaoMsg::OtPairs(pairs) => bytes_len(2 * LABEL_LEN * pairs.len()),
+            YaoMsg::OtLabels(labels) => bytes_len(LABEL_LEN * labels.len()),
+            YaoMsg::Garbled(wire) => wire.garbled.wire_len(),
+        }
+    }
+}
+
+impl GarbledCircuit {
+    /// Encoded size: the gate tables and the constant and garbler-input
+    /// labels as length-prefixed lists keyed by an integer index, then the
+    /// output decode map as one byte string.
+    fn wire_len(&self) -> usize {
+        let keyed = |entries: usize, entry: usize| LEN_PREFIX + entries * (INT + entry);
+        keyed(self.tables.len(), 4 * (LABEL_LEN + 8))
+            + keyed(self.consts.len(), LABEL_LEN)
+            + keyed(self.garbler_inputs.len(), LABEL_LEN)
+            + bytes_len(64 * self.output_map.len())
+    }
 }
 
 /// The on-wire form of a garbled circuit (gate-indexed tables flattened).
@@ -698,5 +723,35 @@ mod tests {
         let inst = yao_instance(&circuit, [1, 1], [1, 1], &mut rng);
         let res = execute(inst, &mut Silent, &mut rng, 20).expect("execution succeeds");
         assert_eq!(res.outputs[&PartyId(1)], Value::Bot);
+    }
+
+    #[test]
+    fn yao_msg_wire_len_per_variant() {
+        assert_eq!(YaoMsg::OtChoose(vec![true; 3]).wire_len(), 1 + 4 + 1);
+        assert_eq!(
+            YaoMsg::OtPairs(vec![([0; LABEL_LEN], [1; LABEL_LEN]); 2]).wire_len(),
+            1 + 4 + 64
+        );
+        assert_eq!(
+            YaoMsg::OtLabels(vec![[0; LABEL_LEN]; 3]).wire_len(),
+            1 + 4 + 48
+        );
+        assert_eq!(YaoMsg::Output(vec![false; 16]).wire_len(), 1 + 4 + 2);
+        let garbled = GarbledCircuit {
+            tables: BTreeMap::from([(
+                0,
+                GarbledGate {
+                    rows: [[0; LABEL_LEN + 8]; 4],
+                },
+            )]),
+            consts: BTreeMap::new(),
+            garbler_inputs: BTreeMap::from([(1, [0; LABEL_LEN]), (2, [0; LABEL_LEN])]),
+            output_map: vec![([0; 32], [0; 32])],
+        };
+        // tag + (4 + 8 + 96) + 4 + (4 + 2 × (8 + 16)) + (4 + 64)
+        assert_eq!(
+            YaoMsg::Garbled(Box::new(GarbledCircuitWire { garbled })).wire_len(),
+            1 + 108 + 4 + 52 + 68
+        );
     }
 }

@@ -64,9 +64,7 @@ pub enum TraceEvent {
         from: Src,
         /// Destination endpoint.
         to: Dst,
-        /// Message size: the byte length of the message's debug
-        /// rendering — a deterministic wire-size proxy (the workspace has
-        /// no serialization layer).
+        /// Message size: its encoded wire size ([`crate::WireLen`]).
         len: usize,
     },
     /// A functionality consumed a non-empty batch of messages.
@@ -116,23 +114,6 @@ impl TraceEvent {
     }
 }
 
-/// Byte length of a value's `Debug` rendering, computed through a
-/// counting writer — no allocation, deterministic for the derived `Debug`
-/// impls protocol messages use. The engine's wire-size proxy.
-pub fn debug_len<M: core::fmt::Debug>(msg: &M) -> usize {
-    use core::fmt::Write;
-    struct Count(usize);
-    impl core::fmt::Write for Count {
-        fn write_str(&mut self, s: &str) -> core::fmt::Result {
-            self.0 += s.len();
-            Ok(())
-        }
-    }
-    let mut w = Count(0);
-    let _ = write!(w, "{msg:?}");
-    w.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,12 +161,5 @@ mod tests {
             "output p0 bot=true"
         );
         assert_eq!(TraceEvent::End { rounds: 7 }.render(), "end rounds=7");
-    }
-
-    #[test]
-    fn debug_len_matches_format() {
-        assert_eq!(debug_len(&42u64), format!("{:?}", 42u64).len());
-        let v = vec![1u8, 2, 3];
-        assert_eq!(debug_len(&v), format!("{v:?}").len());
     }
 }

@@ -27,6 +27,9 @@
 //!   messages, bytes, corruptions, aborts) merged commutatively from
 //!   per-tile batches, so exported summaries are bit-identical for every
 //!   worker count.
+//! * [`wire`] — the [`WireLen`] trait: a message's encoded size under one
+//!   fixed encoding rule, computed without allocating or formatting; the
+//!   `bytes` the metrics count.
 //! * [`stats`] — the shared integer-arithmetic quantile code (also used
 //!   by `fair-simlab`'s latency summaries).
 //!
@@ -39,9 +42,11 @@ pub mod metrics;
 pub mod stats;
 pub mod tracer;
 pub mod transcript;
+pub mod wire;
 
-pub use event::{debug_len, Dst, Src, TraceEvent};
+pub use event::{Dst, Src, TraceEvent};
 pub use metrics::{ExecStats, ProtoBatch, ProtoSummary};
 pub use stats::{percentile_index, QuantileSummary};
 pub use tracer::{NoopTracer, RecordingTracer, Tracer};
 pub use transcript::{diff_text, Diff, Transcript};
+pub use wire::WireLen;

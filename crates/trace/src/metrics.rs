@@ -29,7 +29,7 @@ pub struct ExecStats {
     pub rounds: u64,
     /// Messages released into the network (broadcasts count once).
     pub msgs: u64,
-    /// Total message bytes (debug-render length proxy).
+    /// Total encoded message bytes ([`crate::WireLen`]).
     pub bytes: u64,
     /// Functionality invocations that consumed at least one message.
     pub func_calls: u64,
@@ -199,6 +199,14 @@ fn summarize(batches: BTreeMap<String, ProtoBatch>) -> Vec<ProtoSummary> {
 mod tests {
     use super::*;
 
+    /// The store and its enable flag are process-global while the test
+    /// harness runs tests on parallel threads, so every test that touches
+    /// them holds this lock.
+    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+        static GLOBAL: Mutex<()> = Mutex::new(());
+        GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn stats(rounds: u64, msgs: u64, bytes: u64, bots: u64) -> ExecStats {
         ExecStats {
             rounds,
@@ -213,6 +221,7 @@ mod tests {
 
     #[test]
     fn disabled_collection_is_a_no_op() {
+        let _guard = exclusive();
         set_enabled(false);
         let mut b = ProtoBatch::default();
         b.record(&stats(3, 5, 50, 0));
@@ -222,6 +231,7 @@ mod tests {
 
     #[test]
     fn merge_order_does_not_change_the_summary() {
+        let _guard = exclusive();
         let mut b1 = ProtoBatch::default();
         b1.record(&stats(3, 5, 50, 0));
         b1.record(&stats(9, 2, 20, 1));
@@ -253,6 +263,7 @@ mod tests {
 
     #[test]
     fn snapshot_reports_without_draining() {
+        let _guard = exclusive();
         let mut b = ProtoBatch::default();
         b.record(&stats(3, 5, 50, 0));
         set_enabled(true);
