@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The repo's gate: static checks, tier-1 build + tests, and a smoke run of
+# The repo's gate: static checks, workspace build + tests, and a smoke run of
 # the reproduction suite through the fair-simlab scheduler.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -7,8 +7,8 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy (deny warnings)"
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy (deny warnings, test targets included)"
+cargo clippy --workspace --tests -- -D warnings
 
 echo "== fairlint (strict + graph)"
 mkdir -p target/fairlint
@@ -31,8 +31,8 @@ grep -q '^digraph fairlint' target/fairlint/graph.dot
 echo "== cargo build --release (workspace: libs + reproduce/fair-trace/fair-serve/fair-load bins)"
 cargo build --release --workspace
 
-echo "== cargo test"
-cargo test -q
+echo "== cargo test (every workspace member)"
+cargo test -q --workspace
 
 echo "== fair-trace selfcheck (record + replay + diff)"
 ./target/release/fair-trace record exp_coin_toss --trials 80 --sample 3 > /tmp/fair_trace_recorded.txt

@@ -4,10 +4,10 @@
 //! per experiment plus an aggregate suite record (`BENCH_reproduce.json`).
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fair_simlab::metrics;
-use fair_simlab::{ExpRecord, Progress, ReportRecord, RowRecord, SuiteRecord};
+use fair_simlab::{ExpRecord, ReportRecord, RowRecord, SuiteRecord};
 
 use crate::table::Report;
 
@@ -68,9 +68,8 @@ pub fn run_recorded_with(
     seed: u64,
     epsilon: Option<f64>,
 ) -> Option<(Vec<Report>, ExpRecord)> {
-    metrics::set_enabled(true);
+    metrics::start(id);
     fair_trace::metrics::set_enabled(true);
-    let progress = Progress::start(id, 0, Duration::from_secs(2));
     let t0 = Instant::now();
     let run = || fair_tiles::with_group(id, seed, || crate::run_experiment(id, trials, seed));
     let (reports, adaptive) = match epsilon {
@@ -90,10 +89,9 @@ pub fn run_recorded_with(
         }
     };
     let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    drop(progress);
     let latency = metrics::drain_latency();
     let protocols = fair_trace::metrics::drain();
-    metrics::set_enabled(false);
+    metrics::stop();
     fair_trace::metrics::set_enabled(false);
     let reports = reports?;
     let record = ExpRecord {
@@ -223,17 +221,29 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteRecord, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    static RECORDING: Mutex<()> = Mutex::new(());
+
+    /// Serializes tests that run recorded experiments: the metrics
+    /// collectors are process-wide, so two concurrent runs would start,
+    /// drain and stop each other's collection.
+    pub(crate) fn recording_lock() -> MutexGuard<'static, ()> {
+        RECORDING.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn unknown_id_is_none_and_disables_metrics() {
+        let _serial = recording_lock();
         assert!(run_recorded("e99", 10, 1).is_none());
         assert!(!metrics::enabled());
     }
 
     #[test]
     fn recorded_run_captures_reports_and_latency() {
+        let _serial = recording_lock();
         let (reports, record) = run_recorded("e1", 20, 7).expect("e1 exists");
         assert_eq!(record.id, "e1");
         assert_eq!(record.trials, 20);
@@ -252,5 +262,18 @@ mod tests {
             assert!(p.msgs.total > 0, "{}", p.name);
         }
         assert!(!fair_trace::metrics::enabled());
+    }
+
+    #[test]
+    fn recorded_run_returns_without_waiting_for_a_progress_tick() {
+        let _serial = recording_lock();
+        let t0 = Instant::now();
+        let (_, record) = run_recorded("e2", 16, 1).expect("e2 exists");
+        let spent_ms = t0.elapsed().as_secs_f64() * 1000.0;
+        assert!(
+            spent_ms < record.wall_ms + 500.0,
+            "run_recorded took {spent_ms:.0} ms for {:.0} ms of experiment",
+            record.wall_ms
+        );
     }
 }

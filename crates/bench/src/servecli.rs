@@ -549,6 +549,7 @@ mod tests {
     #[test]
     fn rendered_result_matches_the_batch_record_document() {
         let body = rendered_result("e1", 15, 7).expect("e1 exists");
+        let _serial = crate::runner::tests::recording_lock();
         let (_, record) = crate::runner::run_recorded("e1", 15, 7).expect("e1 exists");
         assert_eq!(body, record.result_json().render_pretty() + "\n");
     }

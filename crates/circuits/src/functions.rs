@@ -59,31 +59,6 @@ pub fn equality(bits: usize) -> Circuit {
     b.finish(vec![e])
 }
 
-/// Set membership: outputs 1 iff the single `bits`-bit input is one of the
-/// given constants (a one-sided private-set-membership workload; the
-/// intersection primitives of [12] reduce to batches of these).
-///
-/// # Panics
-///
-/// Panics if a set element does not fit in `bits` bits.
-pub fn in_set(bits: usize, set: &[u64]) -> Circuit {
-    let mut b = Builder::new();
-    let x = b.inputs(bits);
-    let mut hits = Vec::with_capacity(set.len());
-    for &s in set {
-        assert!(bits >= 64 || s < (1u64 << bits), "set element out of range");
-        // Constant comparison: AND over per-bit (dis)agreements.
-        let mut agree = Vec::with_capacity(bits);
-        for (i, &w) in x.iter().enumerate() {
-            let bit = (s >> i) & 1 == 1;
-            agree.push(if bit { w } else { b.not(w) });
-        }
-        hits.push(b.and_all(&agree));
-    }
-    let hit = b.or_all(&hits);
-    b.finish(vec![hit])
-}
-
 /// n-party XOR (a jointly unbiased coin if each party contributes a random
 /// bit): outputs x₁ ⊕ … ⊕ xₙ.
 pub fn xor_n(n: usize) -> Circuit {
@@ -166,29 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn in_set_detects_membership() {
-        let c = in_set(6, &[3, 17, 42]);
-        for x in 0..64u64 {
-            let expect = [3, 17, 42].contains(&x);
-            assert_eq!(c.eval(&u64_to_bits(x, 6)), vec![expect], "x = {x}");
-        }
-    }
-
-    #[test]
-    fn in_set_empty_set_is_always_false() {
-        let c = in_set(4, &[]);
-        for x in 0..16u64 {
-            assert_eq!(c.eval(&u64_to_bits(x, 4)), vec![false]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn in_set_rejects_oversized_elements() {
-        let _ = in_set(3, &[9]);
-    }
-
-    #[test]
     fn xor_n_is_parity() {
         let c = xor_n(5);
         assert_eq!(c.eval(&[true, false, true, true, false]), vec![true]);
@@ -214,7 +166,6 @@ mod tests {
             equality(8),
             xor_n(3),
             sum_mod(4, 8),
-            in_set(5, &[1, 2, 3]),
         ] {
             assert!(c.validate().is_ok());
         }

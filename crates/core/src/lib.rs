@@ -20,14 +20,12 @@
 //!   optimality (Def. 2).
 //! * [`game`] — the RPD attack game in matrix form (minimax designs,
 //!   saddle points; Remark 1 / footnote 1).
-//! * [`balance`] — utility-balanced fairness (Def. 5) and φ-fairness
-//!   (Def. 21).
 //! * [`cost`] — corruption costs: ideal γ^C-fairness (Def. 19), dominance
 //!   (Def. 20) and the Lemma 22 duality.
 //! * [`reconstruction`] — reconstruction-round measurement (Def. 8).
 //! * [`stats`] — Wilson intervals and proportion tests backing the
 //!   estimator's confidence claims.
-//! * [`partial`] — distinguishing experiments for the 1/p-security
+//! * [`partial`] — acceptance-probability estimates for the 1/p-security
 //!   comparison (Section 5).
 //! * [`analytic`] — the paper's closed-form bounds, used as the reference
 //!   column in every experiment.
@@ -37,7 +35,6 @@
 //! [`best_of`]: utility::best_of
 
 pub mod analytic;
-pub mod balance;
 pub mod cost;
 pub mod event;
 pub mod fairness;

@@ -2,9 +2,8 @@
 //!
 //! The experiments assert inequalities like "measured ≤ paper bound" with
 //! statistical tolerances; this module provides the standard machinery —
-//! Wilson score intervals for proportions, normal-approximation intervals
-//! for bounded means, and the two-proportion z-test used when two
-//! protocols' event rates are compared head to head.
+//! Wilson score intervals for proportions and normal-approximation
+//! intervals for bounded means.
 
 /// A two-sided confidence interval.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -95,31 +94,6 @@ pub fn mean_interval(mean: f64, variance: f64, trials: usize, z: f64) -> Interva
     }
 }
 
-/// Two-proportion z-statistic: how significantly do two event rates
-/// differ? Returns the z-score (positive when `a` exceeds `b`); values
-/// beyond ±[`Z_95`] reject equality at the 5% level.
-///
-/// # Panics
-///
-/// Panics if either trial count is zero.
-pub fn two_proportion_z(
-    successes_a: usize,
-    trials_a: usize,
-    successes_b: usize,
-    trials_b: usize,
-) -> f64 {
-    assert!(trials_a > 0 && trials_b > 0, "need trials on both sides");
-    let (na, nb) = (trials_a as f64, trials_b as f64);
-    let pa = successes_a as f64 / na;
-    let pb = successes_b as f64 / nb;
-    let pooled = (successes_a + successes_b) as f64 / (na + nb);
-    let se = (pooled * (1.0 - pooled) * (1.0 / na + 1.0 / nb)).sqrt();
-    if approx_zero(se) {
-        return 0.0;
-    }
-    (pa - pb) / se
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,24 +122,6 @@ mod tests {
         let tight = mean_interval(0.5, 0.25, 10_000, Z_95);
         assert!(tight.half_width() < wide.half_width() / 5.0);
         assert!(wide.contains(0.5));
-    }
-
-    #[test]
-    fn z_test_flags_real_differences_only() {
-        // Same rates: |z| small.
-        let same = two_proportion_z(250, 1000, 260, 1000);
-        assert!(same.abs() < Z_95, "z = {same}");
-        // Clearly different rates: |z| large, signed.
-        let diff = two_proportion_z(400, 1000, 250, 1000);
-        assert!(diff > Z_95, "z = {diff}");
-        let neg = two_proportion_z(250, 1000, 400, 1000);
-        assert!(neg < -Z_95);
-    }
-
-    #[test]
-    fn z_test_degenerate_pool_is_zero() {
-        assert_eq!(two_proportion_z(0, 10, 0, 10), 0.0);
-        assert_eq!(two_proportion_z(10, 10, 10, 10), 0.0);
     }
 
     proptest! {

@@ -153,16 +153,6 @@ impl UtilityEstimate {
     pub fn consistent_with(&self, target: f64, tol: f64) -> bool {
         (self.mean - target).abs() <= self.ci + tol
     }
-
-    /// Whether the estimate is (statistically) at most `bound`.
-    pub fn at_most(&self, bound: f64, tol: f64) -> bool {
-        self.mean <= bound + self.ci + tol
-    }
-
-    /// Whether the estimate is (statistically) at least `bound`.
-    pub fn at_least(&self, bound: f64, tol: f64) -> bool {
-        self.mean >= bound - self.ci - tol
-    }
 }
 
 impl core::fmt::Display for UtilityEstimate {
@@ -511,8 +501,6 @@ mod tests {
         assert_eq!(est.ci, 0.0);
         assert_eq!(est.event_rate(Event::E01), 1.0);
         assert!(est.consistent_with(0.0, 1e-9));
-        assert!(est.at_most(0.0, 1e-9));
-        assert!(est.at_least(0.0, 1e-9));
     }
 
     #[test]

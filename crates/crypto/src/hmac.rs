@@ -38,19 +38,6 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// Constant-time-ish comparison of two digests.
-///
-/// The engine is a simulator, so side channels are out of scope, but tag
-/// comparison is still written without early exit as a matter of hygiene.
-pub fn verify_hmac_sha256(key: &[u8], msg: &[u8], tag: &Digest) -> bool {
-    let expect = hmac_sha256(key, msg);
-    let mut diff = 0u8;
-    for i in 0..DIGEST_LEN {
-        diff |= expect[i] ^ tag[i];
-    }
-    diff == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,16 +87,5 @@ mod tests {
             hex(&tag),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
-    }
-
-    #[test]
-    fn verify_accepts_and_rejects() {
-        let tag = hmac_sha256(b"k", b"m");
-        assert!(verify_hmac_sha256(b"k", b"m", &tag));
-        let mut bad = tag;
-        bad[0] ^= 1;
-        assert!(!verify_hmac_sha256(b"k", b"m", &bad));
-        assert!(!verify_hmac_sha256(b"k2", b"m", &tag));
-        assert!(!verify_hmac_sha256(b"k", b"m2", &tag));
     }
 }

@@ -14,11 +14,9 @@
 //!   functionality of Appendix B to authenticate the designated output).
 //! * [`mac`] — information-theoretic one-time polynomial MAC over
 //!   GF(2^61 − 1).
-//! * [`share`] — additive, Shamir and XOR secret sharing.
+//! * [`share`] — additive and Shamir secret sharing.
 //! * [`authshare`] — the authenticated two-out-of-two sharing of Appendix A,
 //!   on which Π^Opt_2SFE's reconstruction phase is built.
-//! * [`vss`] — information-theoretic bivariate VSS (the t-out-of-n
-//!   verifiable sharing of the paper's footnote 17).
 //!
 //! # Examples
 //!
@@ -43,4 +41,3 @@ pub mod prg;
 pub mod sha256;
 pub mod share;
 pub mod sign;
-pub mod vss;

@@ -108,17 +108,6 @@ impl MacKey {
     pub fn verify_elems(&self, msg: &[Fp], tag: &MacTag) -> bool {
         self.tag_elems(msg).ct_eq(tag)
     }
-
-    /// Tags an arbitrary byte string (packed 7 bytes per element, with the
-    /// length bound into the first element so no padding collisions arise).
-    pub fn tag_bytes(&self, msg: &[u8]) -> MacTag {
-        self.tag_elems(&pack_bytes(msg))
-    }
-
-    /// Verifies a tag on a byte string.
-    pub fn verify_bytes(&self, msg: &[u8], tag: &MacTag) -> bool {
-        self.verify_elems(&pack_bytes(msg), tag)
-    }
 }
 
 /// Packs a byte string into field elements: element 0 is the length, then
@@ -230,15 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn tag_bytes_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let k = MacKey::random(&mut rng);
-        let t = k.tag_bytes(b"the shared value");
-        assert!(k.verify_bytes(b"the shared value", &t));
-        assert!(!k.verify_bytes(b"the shared valuX", &t));
-    }
-
-    #[test]
     fn empty_message_tag_is_b() {
         let mut rng = StdRng::seed_from_u64(4);
         let k = MacKey::random(&mut rng);
@@ -286,14 +266,6 @@ mod tests {
         fn prop_pack_unpack_roundtrip(msg in proptest::collection::vec(any::<u8>(), 0..64)) {
             let unpacked = unpack_bytes(&pack_bytes(&msg));
             prop_assert_eq!(unpacked, Some(msg));
-        }
-
-        #[test]
-        fn prop_roundtrip_bytes(msg in proptest::collection::vec(any::<u8>(), 0..64), seed: u64) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let k = MacKey::random(&mut rng);
-            let t = k.tag_bytes(&msg);
-            prop_assert!(k.verify_bytes(&msg, &t));
         }
 
         #[test]

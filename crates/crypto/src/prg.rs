@@ -6,7 +6,7 @@
 //! sub-seeds and one-time pads), while sampling helpers draw uniform field
 //! elements from any [`rand::Rng`].
 
-use fair_field::{Fp, Gf256, MODULUS};
+use fair_field::{Fp, MODULUS};
 use rand::Rng;
 
 use crate::hmac::hmac_sha256;
@@ -70,16 +70,6 @@ impl Prg {
         let b = self.next_bytes(8);
         u64::from_be_bytes(b.try_into().expect("8 bytes"))
     }
-
-    /// Samples a uniform element of GF(2^61 − 1) by rejection.
-    pub fn next_fp(&mut self) -> Fp {
-        loop {
-            let x = self.next_u64() & MODULUS; // 61 low bits
-            if x < MODULUS {
-                return Fp::new(x);
-            }
-        }
-    }
 }
 
 /// Samples a uniform element of GF(2^61 − 1) from an external RNG by
@@ -93,27 +83,11 @@ pub fn random_fp<R: Rng + ?Sized>(rng: &mut R) -> Fp {
     }
 }
 
-/// Samples a uniform GF(2^8) element.
-pub fn random_gf256<R: Rng + ?Sized>(rng: &mut R) -> Gf256 {
-    Gf256::new((rng.next_u64() & 0xff) as u8)
-}
-
 /// Samples `n` uniform bytes.
 pub fn random_bytes<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<u8> {
     let mut out = vec![0u8; n];
     rng.fill_bytes(&mut out);
     out
-}
-
-/// One-time pad: XORs `msg` with `pad`.
-///
-/// # Panics
-///
-/// Panics if the lengths differ — a one-time pad must cover the whole
-/// message.
-pub fn xor_pad(msg: &[u8], pad: &[u8]) -> Vec<u8> {
-    assert_eq!(msg.len(), pad.len(), "one-time pad length mismatch");
-    msg.iter().zip(pad).map(|(a, b)| a ^ b).collect()
 }
 
 #[cfg(test)]
@@ -162,29 +136,5 @@ mod tests {
             }
         }
         assert!(seen_high, "sampler never produced a high element");
-    }
-
-    #[test]
-    fn prg_fp_in_range() {
-        let mut p = Prg::new(b"fp");
-        for _ in 0..100 {
-            assert!(p.next_fp().value() < MODULUS);
-        }
-    }
-
-    #[test]
-    fn xor_pad_roundtrips() {
-        let msg = b"attack at dawn".to_vec();
-        let mut rng = StdRng::seed_from_u64(1);
-        let pad = random_bytes(&mut rng, msg.len());
-        let ct = xor_pad(&msg, &pad);
-        assert_ne!(ct, msg);
-        assert_eq!(xor_pad(&ct, &pad), msg);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn xor_pad_rejects_short_pad() {
-        xor_pad(b"long message", b"short");
     }
 }

@@ -1,5 +1,5 @@
 //! Plain (unauthenticated) secret sharing: additive n-of-n and Shamir t-of-n
-//! over GF(2^61 − 1), plus XOR sharing of byte strings.
+//! over GF(2^61 − 1).
 //!
 //! These are the building blocks under both the authenticated 2-of-2 scheme
 //! of the paper's Appendix A ([`crate::authshare`]) and the verifiable
@@ -9,7 +9,7 @@ use fair_field::{Fp, Poly};
 use rand::Rng;
 
 use crate::ct::CtEq;
-use crate::prg::{random_bytes, random_fp};
+use crate::prg::random_fp;
 
 /// Errors produced by reconstruction.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -168,47 +168,6 @@ pub fn shamir_reconstruct(shares: &[ShamirShare], t: usize) -> Result<Fp, ShareE
     Ok(Poly::interpolate_at(&pts, Fp::ZERO))
 }
 
-/// XOR-shares a byte string into `n` shares.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn xor_share<R: Rng + ?Sized>(secret: &[u8], n: usize, rng: &mut R) -> Vec<Vec<u8>> {
-    assert!(n > 0, "xor_share: need at least one share");
-    let mut shares: Vec<Vec<u8>> = (0..n - 1)
-        .map(|_| random_bytes(rng, secret.len()))
-        .collect();
-    let mut last = secret.to_vec();
-    for s in &shares {
-        for (l, b) in last.iter_mut().zip(s) {
-            *l ^= b;
-        }
-    }
-    shares.push(last);
-    shares
-}
-
-/// Reconstructs an XOR sharing.
-///
-/// # Panics
-///
-/// Panics if shares have inconsistent lengths.
-pub fn xor_reconstruct(shares: &[Vec<u8>]) -> Vec<u8> {
-    assert!(!shares.is_empty(), "need at least one share");
-    let len = shares[0].len();
-    assert!(
-        shares.iter().all(|s| s.len() == len),
-        "inconsistent share lengths"
-    );
-    let mut out = vec![0u8; len];
-    for s in shares {
-        for (o, b) in out.iter_mut().zip(s) {
-            *o ^= b;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,14 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn xor_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let secret = b"some secret output".to_vec();
-        let shares = xor_share(&secret, 4, &mut rng);
-        assert_eq!(xor_reconstruct(&shares), secret);
-    }
-
-    #[test]
     fn error_display_is_informative() {
         assert_eq!(
             ShareError::TooFewShares { got: 1, need: 3 }.to_string(),
@@ -329,11 +280,5 @@ mod tests {
             prop_assert_eq!(shamir_reconstruct(&shares, t).unwrap(), s);
         }
 
-        #[test]
-        fn prop_xor_roundtrip(secret in proptest::collection::vec(any::<u8>(), 0..64), n in 1usize..6, seed: u64) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let shares = xor_share(&secret, n, &mut rng);
-            prop_assert_eq!(xor_reconstruct(&shares), secret);
-        }
     }
 }

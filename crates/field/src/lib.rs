@@ -2,17 +2,11 @@
 #![warn(missing_docs)]
 //! Finite-field arithmetic for the `fair-protocols` workspace.
 //!
-//! Two concrete fields are provided:
-//!
 //! * [`Fp`] — the prime field GF(p) for the Mersenne prime p = 2^61 − 1.
 //!   This is the field over which the information-theoretic MACs and the
 //!   Shamir/additive secret-sharing schemes in `fair-crypto` operate.
-//! * [`Gf256`] — the byte field GF(2^8) with the AES polynomial, used for
-//!   byte-wise sharing of arbitrary bit strings.
-//!
-//! In addition, [`poly`] implements dense polynomials over [`Fp`] with
-//! evaluation, arithmetic and Lagrange interpolation, which back the Shamir
-//! scheme and the polynomial MAC.
+//! * [`poly`] — dense polynomials over [`Fp`] with evaluation, arithmetic
+//!   and Lagrange interpolation, which back the Shamir scheme.
 //!
 //! # Examples
 //!
@@ -25,97 +19,8 @@
 //! assert_eq!((a * b.inverse().expect("nonzero")) * b, a);
 //! ```
 
-mod gf256;
 mod mersenne;
 pub mod poly;
 
-pub use gf256::Gf256;
 pub use mersenne::{Fp, MODULUS};
 pub use poly::Poly;
-
-/// A minimal abstraction over the fields used in this workspace.
-///
-/// The trait is deliberately small: the secret-sharing and MAC code in
-/// `fair-crypto` only needs a commutative ring with inverses, sampling, and
-/// canonical zero/one elements.
-pub trait Field:
-    Copy
-    + Clone
-    + Eq
-    + core::fmt::Debug
-    + core::ops::Add<Output = Self>
-    + core::ops::Sub<Output = Self>
-    + core::ops::Mul<Output = Self>
-    + core::ops::Neg<Output = Self>
-{
-    /// The additive identity.
-    const ZERO: Self;
-    /// The multiplicative identity.
-    const ONE: Self;
-
-    /// Multiplicative inverse; `None` for zero.
-    fn inverse(&self) -> Option<Self>;
-
-    /// Deterministically map a `u64` into the field (used for seeding and
-    /// for rejection-free sampling from external RNG output).
-    fn from_u64(x: u64) -> Self;
-}
-
-impl Field for Fp {
-    const ZERO: Self = Fp::ZERO;
-    const ONE: Self = Fp::ONE;
-
-    fn inverse(&self) -> Option<Self> {
-        Fp::inverse(*self)
-    }
-
-    fn from_u64(x: u64) -> Self {
-        Fp::new(x)
-    }
-}
-
-impl Field for Gf256 {
-    const ZERO: Self = Gf256::ZERO;
-    const ONE: Self = Gf256::ONE;
-
-    fn inverse(&self) -> Option<Self> {
-        Gf256::inverse(*self)
-    }
-
-    fn from_u64(x: u64) -> Self {
-        Gf256::new(x as u8)
-    }
-}
-
-#[cfg(test)]
-mod trait_tests {
-    use super::*;
-
-    #[allow(clippy::eq_op)] // a − a = 0 is exactly the axiom under test
-    fn field_laws<F: Field>(a: F, b: F, c: F) {
-        assert_eq!(a + b, b + a);
-        assert_eq!((a + b) + c, a + (b + c));
-        assert_eq!(a * b, b * a);
-        assert_eq!((a * b) * c, a * (b * c));
-        assert_eq!(a * (b + c), a * b + a * c);
-        assert_eq!(a + F::ZERO, a);
-        assert_eq!(a * F::ONE, a);
-        assert_eq!(a - a, F::ZERO);
-        if a != F::ZERO {
-            let inv = a.inverse().expect("nonzero element has an inverse");
-            assert_eq!(a * inv, F::ONE);
-        }
-    }
-
-    #[test]
-    fn laws_hold_for_both_fields() {
-        field_laws(Fp::new(123456789), Fp::new(987654321), Fp::new(31337));
-        field_laws(Gf256::new(0x53), Gf256::new(0xca), Gf256::new(0x01));
-    }
-
-    #[test]
-    fn zero_has_no_inverse() {
-        assert!(Field::inverse(&Fp::ZERO).is_none());
-        assert!(Field::inverse(&Gf256::ZERO).is_none());
-    }
-}

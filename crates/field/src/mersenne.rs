@@ -229,6 +229,25 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::eq_op)] // a − a = 0 is exactly the axiom under test
+    fn field_laws_hold() {
+        let (a, b, c) = (Fp::new(123456789), Fp::new(987654321), Fp::new(31337));
+        assert_eq!(a + b, b + a);
+        assert_eq!((a + b) + c, a + (b + c));
+        assert_eq!(a * b, b * a);
+        assert_eq!((a * b) * c, a * (b * c));
+        assert_eq!(a * (b + c), a * b + a * c);
+        assert_eq!(a + Fp::ZERO, a);
+        assert_eq!(a * Fp::ONE, a);
+        assert_eq!(a - a, Fp::ZERO);
+        assert_eq!(
+            a * a.inverse().expect("nonzero element has an inverse"),
+            Fp::ONE
+        );
+        assert!(Fp::ZERO.inverse().is_none());
+    }
+
+    #[test]
     fn pow_matches_repeated_multiplication() {
         let a = Fp::new(3);
         let mut acc = Fp::ONE;

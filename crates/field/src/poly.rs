@@ -1,40 +1,40 @@
-//! Dense polynomials over a [`Field`], with Lagrange interpolation.
+//! Dense polynomials over [`Fp`], with Lagrange interpolation.
 //!
-//! Polynomials back the Shamir secret-sharing scheme and the polynomial MAC
-//! in `fair-crypto`. Coefficients are stored lowest-degree first, with the
-//! invariant that the highest stored coefficient is nonzero (the zero
-//! polynomial is an empty vector).
+//! Polynomials back the Shamir secret-sharing scheme in `fair-crypto`.
+//! Coefficients are stored lowest-degree first, with the invariant that
+//! the highest stored coefficient is nonzero (the zero polynomial is an
+//! empty vector).
 
-use crate::Field;
+use crate::Fp;
 
-/// A dense polynomial with coefficients in `F`, lowest degree first.
+/// A dense polynomial with coefficients in [`Fp`], lowest degree first.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Poly<F> {
-    coeffs: Vec<F>,
+pub struct Poly {
+    coeffs: Vec<Fp>,
 }
 
-impl<F: Field> Poly<F> {
+impl Poly {
     /// The zero polynomial.
-    pub fn zero() -> Poly<F> {
+    pub fn zero() -> Poly {
         Poly { coeffs: Vec::new() }
     }
 
     /// Constructs a polynomial from coefficients (lowest degree first),
     /// trimming trailing zeros.
-    pub fn from_coeffs(mut coeffs: Vec<F>) -> Poly<F> {
-        while coeffs.last() == Some(&F::ZERO) {
+    pub fn from_coeffs(mut coeffs: Vec<Fp>) -> Poly {
+        while coeffs.last() == Some(&Fp::ZERO) {
             coeffs.pop();
         }
         Poly { coeffs }
     }
 
     /// The constant polynomial `c`.
-    pub fn constant(c: F) -> Poly<F> {
+    pub fn constant(c: Fp) -> Poly {
         Poly::from_coeffs(vec![c])
     }
 
     /// Returns the coefficients, lowest degree first (empty for zero).
-    pub fn coeffs(&self) -> &[F] {
+    pub fn coeffs(&self) -> &[Fp] {
         &self.coeffs
     }
 
@@ -49,8 +49,8 @@ impl<F: Field> Poly<F> {
     }
 
     /// Evaluates the polynomial at `x` by Horner's rule.
-    pub fn eval(&self, x: F) -> F {
-        let mut acc = F::ZERO;
+    pub fn eval(&self, x: Fp) -> Fp {
+        let mut acc = Fp::ZERO;
         for &c in self.coeffs.iter().rev() {
             acc = acc * x + c;
         }
@@ -58,33 +58,33 @@ impl<F: Field> Poly<F> {
     }
 
     /// Adds two polynomials.
-    pub fn add(&self, other: &Poly<F>) -> Poly<F> {
+    pub fn add(&self, other: &Poly) -> Poly {
         let n = self.coeffs.len().max(other.coeffs.len());
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
-            let a = self.coeffs.get(i).copied().unwrap_or(F::ZERO);
-            let b = other.coeffs.get(i).copied().unwrap_or(F::ZERO);
+            let a = self.coeffs.get(i).copied().unwrap_or(Fp::ZERO);
+            let b = other.coeffs.get(i).copied().unwrap_or(Fp::ZERO);
             out.push(a + b);
         }
         Poly::from_coeffs(out)
     }
 
     /// Multiplies two polynomials (schoolbook).
-    pub fn mul(&self, other: &Poly<F>) -> Poly<F> {
+    pub fn mul(&self, other: &Poly) -> Poly {
         if self.is_zero() || other.is_zero() {
             return Poly::zero();
         }
-        let mut out = vec![F::ZERO; self.coeffs.len() + other.coeffs.len() - 1];
+        let mut out = vec![Fp::ZERO; self.coeffs.len() + other.coeffs.len() - 1];
         for (i, &a) in self.coeffs.iter().enumerate() {
             for (j, &b) in other.coeffs.iter().enumerate() {
-                out[i + j] = out[i + j] + a * b;
+                out[i + j] += a * b;
             }
         }
         Poly::from_coeffs(out)
     }
 
     /// Multiplies by a scalar.
-    pub fn scale(&self, s: F) -> Poly<F> {
+    pub fn scale(&self, s: Fp) -> Poly {
         Poly::from_coeffs(self.coeffs.iter().map(|&c| c * s).collect())
     }
 
@@ -94,20 +94,20 @@ impl<F: Field> Poly<F> {
     /// # Panics
     ///
     /// Panics if two points share an x-coordinate.
-    pub fn interpolate(points: &[(F, F)]) -> Poly<F> {
+    pub fn interpolate(points: &[(Fp, Fp)]) -> Poly {
         let mut acc = Poly::zero();
         for (i, &(xi, yi)) in points.iter().enumerate() {
             // Build the i-th Lagrange basis polynomial.
-            let mut basis = Poly::constant(F::ONE);
-            let mut denom = F::ONE;
+            let mut basis = Poly::constant(Fp::ONE);
+            let mut denom = Fp::ONE;
             for (j, &(xj, _)) in points.iter().enumerate() {
                 if i == j {
                     continue;
                 }
                 assert!(xi != xj, "interpolate: duplicate x-coordinate");
                 // basis *= (X - xj)
-                basis = basis.mul(&Poly::from_coeffs(vec![-xj, F::ONE]));
-                denom = denom * (xi - xj);
+                basis = basis.mul(&Poly::from_coeffs(vec![-xj, Fp::ONE]));
+                denom *= xi - xj;
             }
             let inv = denom
                 .inverse()
@@ -123,20 +123,20 @@ impl<F: Field> Poly<F> {
     /// # Panics
     ///
     /// Panics if two points share an x-coordinate.
-    pub fn interpolate_at(points: &[(F, F)], x: F) -> F {
-        let mut acc = F::ZERO;
+    pub fn interpolate_at(points: &[(Fp, Fp)], x: Fp) -> Fp {
+        let mut acc = Fp::ZERO;
         for (i, &(xi, yi)) in points.iter().enumerate() {
-            let mut num = F::ONE;
-            let mut den = F::ONE;
+            let mut num = Fp::ONE;
+            let mut den = Fp::ONE;
             for (j, &(xj, _)) in points.iter().enumerate() {
                 if i == j {
                     continue;
                 }
                 assert!(xi != xj, "interpolate_at: duplicate x-coordinate");
-                num = num * (x - xj);
-                den = den * (xi - xj);
+                num *= x - xj;
+                den *= xi - xj;
             }
-            acc = acc + yi * num * den.inverse().expect("distinct x-coordinates");
+            acc += yi * num * den.inverse().expect("distinct x-coordinates");
         }
         acc
     }
@@ -145,10 +145,9 @@ impl<F: Field> Poly<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Fp;
     use proptest::prelude::*;
 
-    fn p(cs: &[u64]) -> Poly<Fp> {
+    fn p(cs: &[u64]) -> Poly {
         Poly::from_coeffs(cs.iter().map(|&c| Fp::new(c)).collect())
     }
 
@@ -164,7 +163,7 @@ mod tests {
     fn eval_horner() {
         // 3 + 2x + x^2 at x = 5 -> 3 + 10 + 25 = 38
         assert_eq!(p(&[3, 2, 1]).eval(Fp::new(5)), Fp::new(38));
-        assert_eq!(Poly::<Fp>::zero().eval(Fp::new(7)), Fp::ZERO);
+        assert_eq!(Poly::zero().eval(Fp::new(7)), Fp::ZERO);
     }
 
     #[test]

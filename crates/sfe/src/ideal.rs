@@ -76,8 +76,6 @@ enum Phase {
 pub struct SfeWithAbort {
     spec: IdealSpec,
     phase: Phase,
-    /// Prefix for ledger fact keys (lets two instances coexist).
-    fact_prefix: String,
 }
 
 impl SfeWithAbort {
@@ -89,19 +87,6 @@ impl SfeWithAbort {
                 got: BTreeMap::new(),
                 first_round: None,
             },
-            fact_prefix: String::new(),
-        }
-    }
-
-    /// Creates the functionality with a ledger fact prefix.
-    pub fn with_fact_prefix(spec: IdealSpec, prefix: &str) -> SfeWithAbort {
-        SfeWithAbort {
-            spec,
-            phase: Phase::Collecting {
-                got: BTreeMap::new(),
-                first_round: None,
-            },
-            fact_prefix: prefix.to_string(),
         }
     }
 
@@ -151,8 +136,7 @@ impl Functionality<SfeMsg> for SfeWithAbort {
                     let inputs: Vec<Value> = got.values().cloned().collect();
                     let out = self.spec.eval(&inputs, ctx.rng);
                     for (k, v) in &out.facts {
-                        ctx.ledger
-                            .record(&format!("{}{}", self.fact_prefix, k), v.clone());
+                        ctx.ledger.record(k, v.clone());
                     }
                     let mut msgs = Vec::new();
                     let corrupted_any = !ctx.corrupted.is_empty();

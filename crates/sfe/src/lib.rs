@@ -12,8 +12,6 @@
 //!   randomized-abort functionality F^$ of the paper's Figure 1
 //!   ([`RandAbortSfe`]).
 //! * [`dummy`] — dummy parties (the Φ^F protocols of Definition 19).
-//! * [`privout`] — the Appendix-B public-to-private output transform
-//!   (one-time-pad blinded output vectors).
 //! * [`gmw`] — a real GMW-style boolean-circuit SFE protocol with a Beaver
 //!   triple dealer, used to instantiate the unfair-SFE hybrid and to run
 //!   the composability experiment.
@@ -29,6 +27,5 @@
 pub mod dummy;
 pub mod gmw;
 pub mod ideal;
-pub mod privout;
 pub mod spec;
 pub mod yao;

@@ -1,49 +1,99 @@
-//! Run observability: global trial counters (for trials/sec + ETA progress
-//! lines) and per-trial latency collection (min/p50/p99/max summaries).
+//! Run observability: per-trial latency collection (min/p50/p99/max
+//! summaries) and a live `trials/s` progress line on stderr.
 //!
 //! Collection is off by default so unit tests and library consumers pay
-//! nothing; the `reproduce` runner enables it around each experiment and
-//! drains a [`LatencySummary`] afterwards. Counters are atomics; latency
-//! samples are batched per tile so the mutex is touched once per ~64
-//! trials, never per trial.
+//! nothing; the `reproduce` runner calls [`start`] and [`stop`] around each
+//! experiment and drains a [`LatencySummary`] in between. Latency samples
+//! are batched per tile so the mutex is touched once per ~64 trials, never
+//! per trial. The progress line is printed from that same tile-completion
+//! path, at most once every 2 s, so no thread is needed.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+/// Minimum time between two progress lines of one experiment.
+const PROGRESS_PERIOD: Duration = Duration::from_secs(2);
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static TRIALS_DONE: AtomicU64 = AtomicU64::new(0);
-static SAMPLES: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+static COLLECTOR: Mutex<Collector> = Mutex::new(Collector {
+    samples: Vec::new(),
+    run: None,
+});
+
+/// Per-trial latencies of the running experiment and the state its
+/// progress line needs, kept under one lock so the reported trial count is
+/// exactly the number of samples.
+struct Collector {
+    samples: Vec<u64>,
+    run: Option<Run>,
+}
+
+struct Run {
+    label: String,
+    started: Instant,
+    last_report: Instant,
+}
+
+fn collector() -> MutexGuard<'static, Collector> {
+    // Every update leaves the collector valid, so a poisoned lock is safe
+    // to recover.
+    COLLECTOR.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Whether trial metrics are being collected.
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns collection on/off and clears all state (called by the runner at
-/// experiment boundaries).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-    TRIALS_DONE.store(0, Ordering::Relaxed);
-    SAMPLES.lock().unwrap_or_else(|e| e.into_inner()).clear();
+/// Clears all samples and starts collecting for the experiment `label`
+/// (called by the runner at the start of each experiment).
+pub fn start(label: &str) {
+    let now = Instant::now();
+    let mut c = collector();
+    c.samples.clear();
+    c.run = Some(Run {
+        label: label.to_string(),
+        started: now,
+        last_report: now,
+    });
+    ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Records a finished batch of trials with their per-trial latencies.
-/// No-op unless collection is enabled.
+/// Stops collecting and clears all samples (called by the runner once the
+/// experiment's latencies are drained).
+pub fn stop() {
+    ENABLED.store(false, Ordering::Relaxed);
+    let mut c = collector();
+    c.samples.clear();
+    c.run = None;
+}
+
+/// Records a finished batch of trials with their per-trial latencies, and
+/// prints the progress line if 2 s have passed since the last one (or since
+/// [`start`]). No-op unless collection is enabled.
 pub fn record_batch(latencies_ns: &[u64]) {
     if !enabled() || latencies_ns.is_empty() {
         return;
     }
-    TRIALS_DONE.fetch_add(latencies_ns.len() as u64, Ordering::Relaxed);
-    SAMPLES
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .extend_from_slice(latencies_ns);
-}
-
-/// Trials completed since collection was (re)enabled.
-pub fn trials_done() -> u64 {
-    TRIALS_DONE.load(Ordering::Relaxed)
+    let line = {
+        let mut guard = collector();
+        let c = &mut *guard;
+        let Some(run) = c.run.as_mut() else {
+            return;
+        };
+        c.samples.extend_from_slice(latencies_ns);
+        let now = Instant::now();
+        (now.duration_since(run.last_report) >= PROGRESS_PERIOD).then(|| {
+            run.last_report = now;
+            let done = c.samples.len();
+            let rate = done as f64 / now.duration_since(run.started).as_secs_f64();
+            format!("[simlab] {}: {done} trials, {rate:.0} trials/s", run.label)
+        })
+    };
+    if let Some(line) = line {
+        eprintln!("{line}");
+    }
 }
 
 /// Distribution summary of per-trial execution latency.
@@ -168,59 +218,7 @@ impl BatchTimer {
 
 /// Drains and summarizes the collected per-trial latencies.
 pub fn drain_latency() -> Option<LatencySummary> {
-    let samples = std::mem::take(&mut *SAMPLES.lock().unwrap_or_else(|e| e.into_inner()));
-    LatencySummary::from_samples(samples)
-}
-
-/// A live stderr progress line: `trials done, trials/sec, ETA` against an
-/// expected trial count, refreshed from a background ticker thread.
-pub struct Progress {
-    stop: std::sync::Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Progress {
-    /// Spawns a ticker that reports progress for `label` every `period`
-    /// until dropped. `expected_trials` drives the ETA (0 = unknown).
-    pub fn start(label: &str, expected_trials: u64, period: Duration) -> Progress {
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
-        let stop2 = std::sync::Arc::clone(&stop);
-        let label = label.to_string();
-        let handle = std::thread::spawn(move || {
-            let t0 = Instant::now();
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(period);
-                if stop2.load(Ordering::Relaxed) {
-                    break;
-                }
-                let done = trials_done();
-                let secs = t0.elapsed().as_secs_f64();
-                if done == 0 || secs <= 0.0 {
-                    continue;
-                }
-                let rate = done as f64 / secs;
-                let eta = if expected_trials > done && rate > 0.0 {
-                    format!(", ETA {:.1}s", (expected_trials - done) as f64 / rate)
-                } else {
-                    String::new()
-                };
-                eprintln!("[simlab] {label}: {done} trials, {:.0} trials/s{eta}", rate);
-            }
-        });
-        Progress {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Progress {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    LatencySummary::from_samples(std::mem::take(&mut collector().samples))
 }
 
 #[cfg(test)]
@@ -284,9 +282,8 @@ mod tests {
 
     #[test]
     fn disabled_collection_is_a_no_op() {
-        set_enabled(false);
+        stop();
         record_batch(&[1, 2, 3]);
-        assert_eq!(trials_done(), 0);
         assert!(drain_latency().is_none());
     }
 }

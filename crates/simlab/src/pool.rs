@@ -101,11 +101,6 @@ impl WorkerPool {
         Ok(())
     }
 
-    /// Jobs waiting in the queue (not counting executing ones).
-    pub fn queue_len(&self) -> usize {
-        self.shared.lock().queue.len()
-    }
-
     /// Jobs currently executing.
     pub fn in_flight(&self) -> usize {
         self.shared.lock().in_flight
