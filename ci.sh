@@ -7,8 +7,8 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy (deny warnings, test targets included)"
-cargo clippy --workspace --tests -- -D warnings
+echo "== cargo clippy (deny warnings, all targets: lib, bins, tests, benches, examples)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== fairlint (strict + graph)"
 mkdir -p target/fairlint

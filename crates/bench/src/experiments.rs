@@ -1,5 +1,6 @@
 //! The experiment suite: one function per entry in DESIGN.md's experiment
-//! index, each returning a [`Report`] of paper-vs-measured rows.
+//! index, each returning its paper-vs-measured rows (the registry in the
+//! crate root supplies each report's id and title).
 //!
 //! All experiments are deterministic in `(trials, seed)`.
 
@@ -17,12 +18,13 @@ use fair_sfe::gmw::{gmw_instance, GmwConfig, GmwMsg};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use crate::table::{Report, Row};
+use fair_simlab::RowRecord;
 
 /// Tolerance added on top of confidence intervals for pass/fail decisions.
-const TOL: f64 = 0.05;
+pub(crate) const TOL: f64 = 0.05;
 
-fn best<S: Scenario + Sync>(
+/// The estimate of the strategy with the highest utility in `scenarios`.
+pub(crate) fn best<S: Scenario + Sync>(
     scenarios: &[S],
     payoff: &Payoff,
     trials: usize,
@@ -33,64 +35,55 @@ fn best<S: Scenario + Sync>(
 }
 
 /// E1 — Introduction: Π2 is twice as fair as Π1.
-pub fn e1(trials: usize, seed: u64) -> Report {
+pub fn e1(trials: usize, seed: u64) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     let u1 = best(&contract_sweep(false), &payoff, trials, seed);
     let u2 = best(&contract_sweep(true), &payoff, trials, seed ^ 1);
-    let rows = vec![
-        Row::vs_paper(
+    vec![
+        RowRecord::vs_paper(
             "Π1 sup-utility (γ10)",
             analytic::pi1(&payoff),
             u1.mean,
             u1.ci,
             TOL,
         ),
-        Row::vs_paper(
+        RowRecord::vs_paper(
             "Π2 sup-utility ((γ10+γ11)/2)",
             analytic::pi2(&payoff),
             u2.mean,
             u2.ci,
             TOL,
         ),
-        Row::check(
+        RowRecord::check(
             "Π2 strictly fairer than Π1",
             u1.mean - u2.mean,
             u2.mean + u2.ci < u1.mean - u1.ci,
         ),
-    ];
-    Report::new(
-        "E1",
-        "contract signing: coin-tossed order halves the attacker's edge",
-        rows,
-    )
+    ]
 }
 
 /// E2 — Theorem 3: every strategy in the library stays at or below
 /// (γ10+γ11)/2 against Π^Opt_2SFE.
-pub fn e2(trials: usize, seed: u64) -> Report {
+pub fn e2(trials: usize, seed: u64) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     let bound = analytic::opt2(&payoff);
     let (ests, best_idx) = best_of(&opt2_sweep(), &payoff, trials, seed);
-    let mut rows: Vec<Row> = ests
+    let mut rows: Vec<RowRecord> = ests
         .iter()
-        .map(|e| Row::upper_bound(e.name.clone(), bound, e.mean, e.ci, TOL))
+        .map(|e| RowRecord::upper_bound(e.name.clone(), bound, e.mean, e.ci, TOL))
         .collect();
-    rows.push(Row::vs_paper(
+    rows.push(RowRecord::vs_paper(
         "sup over library",
         bound,
         ests[best_idx].mean,
         ests[best_idx].ci,
         TOL,
     ));
-    Report::new(
-        "E2",
-        "Π^Opt_2SFE upper bound: u_A ≤ (γ10+γ11)/2 for every strategy",
-        rows,
-    )
+    rows
 }
 
 /// E3 — Theorem 4 / Lemma 7: the proof adversaries attain the bound.
-pub fn e3(trials: usize, seed: u64) -> Report {
+pub fn e3(trials: usize, seed: u64) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     let bound = analytic::opt2(&payoff);
     let a1 = estimate(
@@ -117,28 +110,23 @@ pub fn e3(trials: usize, seed: u64) -> Report {
         trials,
         seed ^ 3,
     );
-    let rows = vec![
-        Row::vs_paper("u(A1) (corrupt p1)", bound, a1.mean, a1.ci, TOL),
-        Row::vs_paper("u(A2) (corrupt p2)", bound, a2.mean, a2.ci, TOL),
-        Row::vs_paper("u(A_gen) (random party)", bound, agen.mean, agen.ci, TOL),
-        Row::vs_paper(
+    vec![
+        RowRecord::vs_paper("u(A1) (corrupt p1)", bound, a1.mean, a1.ci, TOL),
+        RowRecord::vs_paper("u(A2) (corrupt p2)", bound, a2.mean, a2.ci, TOL),
+        RowRecord::vs_paper("u(A_gen) (random party)", bound, agen.mean, agen.ci, TOL),
+        RowRecord::vs_paper(
             "u(A1)+u(A2) (Lemma 7: γ10+γ11)",
             payoff.g10 + payoff.g11,
             a1.mean + a2.mean,
             a1.ci + a2.ci,
             2.0 * TOL,
         ),
-    ];
-    Report::new(
-        "E3",
-        "Π^Opt_2SFE lower bound: A1/A2/A_gen achieve (γ10+γ11)/2",
-        rows,
-    )
+    ]
 }
 
 /// E4 — Lemmas 9/10: Π^Opt_2SFE has two reconstruction rounds; the
 /// one-reconstruction-round strawman hands the attacker γ10.
-pub fn e4(trials: usize, seed: u64) -> Report {
+pub fn e4(trials: usize, seed: u64) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     // Sweep abort rounds against Π^Opt_2SFE for both corrupted parties.
     let total_rounds = 6;
@@ -172,37 +160,36 @@ pub fn e4(trials: usize, seed: u64) -> Report {
         .map(|(r, _)| r)
         .collect();
     let strawman = best(&one_round_sweep(), &payoff, trials, seed ^ 5);
-    let rows = vec![
-        Row::vs_paper(
+    vec![
+        RowRecord::vs_paper(
             "Π^Opt_2SFE reconstruction rounds ℓ",
             2.0,
             ell as f64,
             0.0,
             0.0,
         ),
-        Row::check(
+        RowRecord::check(
             "unfair aborts are exactly the reconstruction rounds {2,3}",
             unfair_block.len() as f64,
             unfair_block == vec![2, 3],
         ),
-        Row::vs_paper(
+        RowRecord::vs_paper(
             "strawman sup-utility (γ10)",
             payoff.g10,
             strawman.mean,
             strawman.ci,
             TOL,
         ),
-        Row::check(
+        RowRecord::check(
             "strawman less fair than Π^Opt_2SFE",
             strawman.mean,
             strawman.mean - strawman.ci > analytic::opt2(&payoff),
         ),
-    ];
-    Report::new("E4", "reconstruction-round optimality (Lemmas 9/10)", rows)
+    ]
 }
 
 /// E5 — Lemma 11: per-t utilities against Π^Opt_nSFE.
-pub fn e5(trials: usize, seed: u64, ns: &[usize]) -> Report {
+pub fn e5(trials: usize, seed: u64, ns: &[usize]) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     let mut rows = Vec::new();
     for &n in ns {
@@ -213,7 +200,7 @@ pub fn e5(trials: usize, seed: u64, ns: &[usize]) -> Report {
                 trials,
                 seed ^ ((n * 16 + t) as u64),
             );
-            rows.push(Row::vs_paper(
+            rows.push(RowRecord::vs_paper(
                 format!("n={n} t={t}: (t·γ10+(n−t)·γ11)/n"),
                 analytic::optn_t(&payoff, n, t),
                 u.mean,
@@ -222,15 +209,11 @@ pub fn e5(trials: usize, seed: u64, ns: &[usize]) -> Report {
             ));
         }
     }
-    Report::new(
-        "E5",
-        "Π^Opt_nSFE per-coalition utilities (Lemma 11, tight by Lemma 13)",
-        rows,
-    )
+    rows
 }
 
 /// E6 — Lemmas 12/13: the A_ī strategies and their mix.
-pub fn e6(trials: usize, seed: u64, n: usize) -> Report {
+pub fn e6(trials: usize, seed: u64, n: usize) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     let mut rows = Vec::new();
     let mut sum = 0.0;
@@ -243,7 +226,7 @@ pub fn e6(trials: usize, seed: u64, n: usize) -> Report {
         let u = estimate(&s, &payoff, trials, seed ^ (i as u64));
         sum += u.mean;
         sum_ci += u.ci;
-        rows.push(Row::vs_paper(
+        rows.push(RowRecord::vs_paper(
             format!("u(A_{{¬{}}})", i + 1),
             analytic::optn_best(&payoff, n),
             u.mean,
@@ -251,7 +234,7 @@ pub fn e6(trials: usize, seed: u64, n: usize) -> Report {
             TOL,
         ));
     }
-    rows.push(Row::vs_paper(
+    rows.push(RowRecord::vs_paper(
         "Σ_i u(A_ī) ≥ (n−1)γ10 + γ11",
         (n as f64 - 1.0) * payoff.g10 + payoff.g11,
         sum,
@@ -263,22 +246,18 @@ pub fn e6(trials: usize, seed: u64, n: usize) -> Report {
         strategy: Strategy::LockAbort(CorruptionPlan::RandomAllButOne),
     };
     let u = estimate(&mixed, &payoff, trials, seed ^ 99);
-    rows.push(Row::vs_paper(
+    rows.push(RowRecord::vs_paper(
         "mixed A: ((n−1)γ10+γ11)/n",
         analytic::optn_best(&payoff, n),
         u.mean,
         u.ci,
         TOL,
     ));
-    Report::new(
-        "E6",
-        "multi-party lower bound via the A_ī strategies (Lemmas 12/13)",
-        rows,
-    )
+    rows
 }
 
 /// E7 — Lemmas 14/16: Π^Opt_nSFE is utility-balanced.
-pub fn e7(trials: usize, seed: u64, n: usize) -> Report {
+pub fn e7(trials: usize, seed: u64, n: usize) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     let mut rows = Vec::new();
     let mut sum = 0.0;
@@ -288,22 +267,18 @@ pub fn e7(trials: usize, seed: u64, n: usize) -> Report {
         sum += u.mean;
         sum_ci += u.ci;
     }
-    rows.push(Row::vs_paper(
+    rows.push(RowRecord::vs_paper(
         format!("Σ_t u(A_t) vs (n−1)(γ10+γ11)/2 (n={n})"),
         analytic::balance_sum(&payoff, n),
         sum,
         sum_ci,
         (n - 1) as f64 * TOL,
     ));
-    Report::new(
-        "E7",
-        "Π^Opt_nSFE is utility-balanced (Lemma 14, tight by Lemma 16)",
-        rows,
-    )
+    rows
 }
 
 /// E8 — Lemma 17: Π^{1/2}_GMW per-t cliff; balance violated for even n.
-pub fn e8(trials: usize, seed: u64, ns: &[usize]) -> Report {
+pub fn e8(trials: usize, seed: u64, ns: &[usize]) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     let mut rows = Vec::new();
     for &n in ns {
@@ -318,7 +293,7 @@ pub fn e8(trials: usize, seed: u64, ns: &[usize]) -> Report {
             );
             sum += u.mean;
             sum_ci += u.ci;
-            rows.push(Row::vs_paper(
+            rows.push(RowRecord::vs_paper(
                 format!("n={n} t={t}"),
                 analytic::gmw_half_t(&payoff, n, t),
                 u.mean,
@@ -329,13 +304,13 @@ pub fn e8(trials: usize, seed: u64, ns: &[usize]) -> Report {
         let bound = analytic::balance_sum(&payoff, n);
         let violated = sum - sum_ci > bound + 0.01;
         if n % 2 == 0 {
-            rows.push(Row::check(
+            rows.push(RowRecord::check(
                 format!("n={n} (even): balance bound exceeded by (γ10−γ11)/2"),
                 sum - bound,
                 violated && (sum - bound - (payoff.g10 - payoff.g11) / 2.0).abs() < sum_ci + TOL,
             ));
         } else {
-            rows.push(Row::vs_paper(
+            rows.push(RowRecord::vs_paper(
                 format!("n={n} (odd): Σ_t meets balance bound"),
                 bound,
                 sum,
@@ -344,50 +319,41 @@ pub fn e8(trials: usize, seed: u64, ns: &[usize]) -> Report {
             ));
         }
     }
-    Report::new(
-        "E8",
-        "Π^{1/2}_GMW: fair below n/2, unfair at n/2, unbalanced for even n (Lemma 17)",
-        rows,
-    )
+    rows
 }
 
 /// E9 — Lemma 18: the artificial protocol is optimally fair but not
 /// utility-balanced.
-pub fn e9(trials: usize, seed: u64, n: usize) -> Report {
+pub fn e9(trials: usize, seed: u64, n: usize) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     let t1 = best(&artificial_sweep(n, 1), &payoff, trials, seed);
     let tmax = best(&artificial_sweep(n, n - 1), &payoff, trials, seed ^ 7);
     let optn_t1 = analytic::optn_t(&payoff, n, 1);
-    let rows = vec![
-        Row::vs_paper(
+    vec![
+        RowRecord::vs_paper(
             "t=1: γ10/n + (n−1)/n·(γ10+γ11)/2",
             analytic::artificial_t1(&payoff, n),
             t1.mean,
             t1.ci,
             TOL,
         ),
-        Row::check(
+        RowRecord::check(
             "t=1 exceeds Π^Opt_nSFE's bound (not balanced)",
             t1.mean - optn_t1,
             t1.mean - t1.ci > optn_t1,
         ),
-        Row::vs_paper(
+        RowRecord::vs_paper(
             "t=n−1: ((n−1)γ10+γ11)/n (still optimal)",
             analytic::optn_best(&payoff, n),
             tmax.mean,
             tmax.ci,
             TOL,
         ),
-    ];
-    Report::new(
-        "E9",
-        "optimal fairness does not imply utility balance (Lemma 18)",
-        rows,
-    )
+    ]
 }
 
 /// E10 — Theorem 6 / Lemma 22: the corruption-cost duality.
-pub fn e10(trials: usize, seed: u64, n: usize) -> Report {
+pub fn e10(trials: usize, seed: u64, n: usize) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     let phi: Vec<f64> = (1..n)
         .map(|t| best(&optn_sweep(n, t), &payoff, trials, seed ^ (t as u64)).mean)
@@ -413,9 +379,9 @@ pub fn e10(trials: usize, seed: u64, n: usize) -> Report {
             .collect(),
     );
     let cheaper_fails = !fair_core::cost::is_ideally_fair(&phi, &cheaper, &payoff, n, TOL);
-    let mut rows: Vec<Row> = (1..n)
+    let mut rows: Vec<RowRecord> = (1..n)
         .map(|t| {
-            Row::vs_paper(
+            RowRecord::vs_paper(
                 format!("c({t}) = φ({t}) − s({t})"),
                 analytic::optn_t(&payoff, n, t) - analytic::ideal_fair_t(&payoff, n, t),
                 cost.cost(t),
@@ -425,7 +391,7 @@ pub fn e10(trials: usize, seed: u64, n: usize) -> Report {
         })
         .collect();
     for (i, s) in s_measured.iter().enumerate() {
-        rows.push(Row::vs_paper(
+        rows.push(RowRecord::vs_paper(
             format!("measured s({}) vs γ11 (ideal benchmark)", i + 1),
             analytic::ideal_fair_t(&payoff, n, i + 1),
             s.mean,
@@ -433,21 +399,17 @@ pub fn e10(trials: usize, seed: u64, n: usize) -> Report {
             TOL,
         ));
     }
-    rows.push(Row::check(
+    rows.push(RowRecord::check(
         "Π^Opt_nSFE ideally γ^C-fair under C",
         1.0,
         ideally_fair,
     ));
-    rows.push(Row::check(
+    rows.push(RowRecord::check(
         "strictly dominated C′ fails (optimality of C)",
         1.0,
         cheaper_fails,
     ));
-    Report::new(
-        "E10",
-        "utility balance ⇔ optimal corruption-cost function (Theorem 6)",
-        rows,
-    )
+    rows
 }
 
 /// A scenario for the *real* GMW protocol (no ideal hybrid): the rushing
@@ -507,7 +469,7 @@ impl Scenario for GmwScenario {
 /// E13 — composability: the real GMW instantiation of unfair SFE gives the
 /// attacker exactly the same utility (γ10) as the ideal hybrid, and the
 /// hybrid-built Π^Opt_2SFE keeps its bound.
-pub fn e13(trials: usize, seed: u64) -> Report {
+pub fn e13(trials: usize, seed: u64) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     let cfg = GmwConfig::new(fair_circuits::functions::millionaires(8), vec![8, 8]);
     let real = estimate(
@@ -628,58 +590,53 @@ pub fn e13(trials: usize, seed: u64) -> Report {
     }
     let yao_eval = estimate(&YaoScenario { corrupt: 1 }, &payoff, trials, seed ^ 10);
     let yao_garb = estimate(&YaoScenario { corrupt: 0 }, &payoff, trials, seed ^ 11);
-    let rows = vec![
-        Row::vs_paper(
+    vec![
+        RowRecord::vs_paper(
             "real GMW, lock-abort (γ10)",
             payoff.g10,
             real.mean,
             real.ci,
             TOL,
         ),
-        Row::vs_paper(
+        RowRecord::vs_paper(
             "ideal F_sfe^⊥, same attack (γ10)",
             payoff.g10,
             ideal.mean,
             ideal.ci,
             TOL,
         ),
-        Row::check(
+        RowRecord::check(
             "hybrid and real instantiation agree",
             (real.mean - ideal.mean).abs(),
             (real.mean - ideal.mean).abs() <= real.ci + ideal.ci + TOL,
         ),
-        Row::vs_paper(
+        RowRecord::vs_paper(
             "real GMW, honest coalition (γ11)",
             payoff.g11,
             honest.mean,
             honest.ci,
             TOL,
         ),
-        Row::vs_paper(
+        RowRecord::vs_paper(
             "real Yao, corrupted evaluator (γ10)",
             payoff.g10,
             yao_eval.mean,
             yao_eval.ci,
             TOL,
         ),
-        Row::vs_paper(
+        RowRecord::vs_paper(
             "real Yao, corrupted garbler (γ11: it learns last)",
             payoff.g11,
             yao_garb.mean,
             yao_garb.ci,
             TOL,
         ),
-    ];
-    Report::new(
-        "E13",
-        "composability: replacing the hybrid by real GMW/Yao preserves utilities",
-        rows,
-    )
+    ]
 }
 
 /// E11 — Theorems 23/24: the Gordon–Katz protocols bound the attacker's
 /// payoff by 1/p under γ = (0,0,1,0).
-pub fn e11(trials: usize, seed: u64) -> Report {
+pub fn e11(trials: usize, seed: u64) -> Vec<RowRecord> {
     let payoff = Payoff::gk();
     let mut rows = Vec::new();
     let bit: fair_protocols::gordon_katz::ValueSampler =
@@ -697,14 +654,14 @@ pub fn e11(trials: usize, seed: u64) -> Report {
         );
         let rounds: Vec<usize> = (1..=8).collect();
         let u = best(&gk_sweep(&cfg, &rounds), &payoff, trials, seed ^ p);
-        rows.push(Row::upper_bound(
+        rows.push(RowRecord::upper_bound(
             format!("poly-domain p={p}: best attack ≤ 1/p"),
             analytic::gk_bound(p),
             u.mean,
             u.ci,
             TOL / 2.0,
         ));
-        rows.push(Row::vs_paper(
+        rows.push(RowRecord::vs_paper(
             format!("poly-domain p={p}: rounds m = 8·p·|Y|"),
             (8 * p * 2) as f64,
             cfg.m as f64,
@@ -719,25 +676,21 @@ pub fn e11(trials: usize, seed: u64) -> Report {
     );
     let rounds: Vec<usize> = (1..=8).collect();
     let u = best(&gk_sweep(&cfg, &rounds), &payoff, trials, seed ^ 77);
-    rows.push(Row::upper_bound(
+    rows.push(RowRecord::upper_bound(
         "poly-range p=2: best attack ≤ 1/p",
         analytic::gk_bound(2),
         u.mean,
         u.ci,
         TOL / 2.0,
     ));
-    rows.push(Row::vs_paper(
+    rows.push(RowRecord::vs_paper(
         "poly-range p=2: rounds m = 8·p²·|Z|",
         (8 * 4 * 2) as f64,
         cfg.m as f64,
         0.0,
         0.0,
     ));
-    Report::new(
-        "E11",
-        "Gordon–Katz protocols: payoff ≤ 1/p with O(p·|Y|) / O(p²·|Z|) rounds",
-        rows,
-    )
+    rows
 }
 
 /// E14 — the Section 4.1 remark: for functions admitting a 1/p-secure
@@ -745,7 +698,7 @@ pub fn e11(trials: usize, seed: u64) -> Report {
 /// the Gordon–Katz protocol for AND (poly-size domain) under the *general*
 /// Γ⁺_fair payoff and show its best attacker earns strictly less than the
 /// generic bound, approaching γ11 as p grows.
-pub fn e14(trials: usize, seed: u64) -> Report {
+pub fn e14(trials: usize, seed: u64) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     let generic = analytic::opt2(&payoff);
     let bit: fair_protocols::gordon_katz::ValueSampler =
@@ -767,31 +720,27 @@ pub fn e14(trials: usize, seed: u64) -> Report {
         // Remark after Theorem 3: the bound drops to roughly
         // (γ10 + (p−1)·γ11)/p for 1/p-secure functions.
         let remark_bound = (payoff.g10 + (p as f64 - 1.0) * payoff.g11) / p as f64;
-        rows.push(Row::upper_bound(
+        rows.push(RowRecord::upper_bound(
             format!("GK(p={p}) under Γ⁺_fair ≤ (γ10+(p−1)γ11)/p"),
             remark_bound,
             u.mean,
             u.ci,
             TOL,
         ));
-        rows.push(Row::check(
+        rows.push(RowRecord::check(
             format!("GK(p={p}) strictly fairer than the generic optimum"),
             generic - u.mean,
             u.mean + u.ci < generic,
         ));
     }
-    Report::new(
-        "E14",
-        "Section 4.1 remark: 1/p-secure functions admit fairness beyond the generic optimum",
-        rows,
-    )
+    rows
 }
 
 /// E15 — the RPD attack game (Remark 1): the designer's uniform choice of
 /// the designated party is minimax-optimal. Sweeping Pr[i* = 1] = q shows
 /// the best attacker earns max(q, 1−q)·γ10 + min(q, 1−q)·γ11, minimized
 /// exactly at q = 1/2.
-pub fn e15(trials: usize, seed: u64) -> Report {
+pub fn e15(trials: usize, seed: u64) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     let qs = [0.1f64, 0.3, 0.5, 0.7, 0.9];
     // Build the measured attack-game matrix: designer rows = bias q,
@@ -805,7 +754,7 @@ pub fn e15(trials: usize, seed: u64) -> Report {
         let u2 = estimate(&sweep[1], &payoff, trials, seed ^ (0x40 + i as u64));
         let expect = q.max(1.0 - q) * payoff.g10 + q.min(1.0 - q) * payoff.g11;
         let measured_best = u1.mean.max(u2.mean);
-        rows.push(Row::vs_paper(
+        rows.push(RowRecord::vs_paper(
             format!("q = {q}: max(q,1−q)·γ10 + min(q,1−q)·γ11"),
             expect,
             measured_best,
@@ -820,28 +769,24 @@ pub fn e15(trials: usize, seed: u64) -> Report {
         matrix,
     );
     let (d_star, value) = game.minimax();
-    rows.push(Row::check(
+    rows.push(RowRecord::check(
         "designer's minimax optimum at q = 1/2",
         value,
         game.designer_moves()[d_star] == "q=0.5",
     ));
-    rows.push(Row::vs_paper(
+    rows.push(RowRecord::vs_paper(
         "game value = (γ10+γ11)/2",
         analytic::opt2(&payoff),
         value,
         0.03,
         TOL,
     ));
-    rows.push(Row::check(
+    rows.push(RowRecord::check(
         "uniform design forms a saddle point",
         1.0,
         game.is_saddle_point(d_star, game.best_response(d_star).0, 0.05),
     ));
-    Report::new(
-        "E15",
-        "the attack game: uniform i* is the designer's minimax move (Remark 1)",
-        rows,
-    )
+    rows
 }
 
 /// E16 — the two-way separation (Appendix B.1): utility-balanced fairness
@@ -850,7 +795,7 @@ pub fn e15(trials: usize, seed: u64) -> Report {
 /// balance bound yet its best attacker earns γ10 — far above Π^Opt_nSFE's
 /// optimum; conversely E9 shows the Lemma 18 protocol is optimal but
 /// unbalanced.
-pub fn e16(trials: usize, seed: u64) -> Report {
+pub fn e16(trials: usize, seed: u64) -> Vec<RowRecord> {
     let payoff = Payoff::standard();
     let n = 5; // odd: Π′ = Π^{1/2}_GMW
     let mut sum = 0.0;
@@ -862,32 +807,27 @@ pub fn e16(trials: usize, seed: u64) -> Report {
         sum_ci += u.ci;
         sup = sup.max(u.mean);
     }
-    let rows = vec![
-        Row::vs_paper(
+    vec![
+        RowRecord::vs_paper(
             format!("Π′ (n={n}, odd): Σ_t meets the balance bound"),
             analytic::balance_sum(&payoff, n),
             sum,
             sum_ci,
             (n - 1) as f64 * TOL,
         ),
-        Row::vs_paper(
+        RowRecord::vs_paper(
             "Π′ sup-utility = γ10 (not optimal)",
             payoff.g10,
             sup,
             0.02,
             TOL,
         ),
-        Row::check(
+        RowRecord::check(
             "balanced ⇏ optimal: sup exceeds Π^Opt_nSFE's bound",
             sup - analytic::optn_best(&payoff, n),
             sup > analytic::optn_best(&payoff, n) + 0.05,
         ),
-    ];
-    Report::new(
-        "E16",
-        "utility-balanced and optimal fairness are incomparable (Appendix B.1)",
-        rows,
-    )
+    ]
 }
 
 #[cfg(test)]
@@ -898,43 +838,36 @@ mod tests {
 
     #[test]
     fn e1_reproduces() {
-        let r = e1(T, 1);
-        assert!(r.pass(), "{}", r.render());
+        crate::assert_reproduces("e1", e1(T, 1));
     }
 
     #[test]
     fn e3_reproduces() {
-        let r = e3(T, 3);
-        assert!(r.pass(), "{}", r.render());
+        crate::assert_reproduces("e3", e3(T, 3));
     }
 
     #[test]
     fn e4_reproduces() {
-        let r = e4(T, 4);
-        assert!(r.pass(), "{}", r.render());
+        crate::assert_reproduces("e4", e4(T, 4));
     }
 
     #[test]
     fn e7_reproduces_small() {
-        let r = e7(T, 7, 3);
-        assert!(r.pass(), "{}", r.render());
+        crate::assert_reproduces("e7", e7(T, 7, 3));
     }
 
     #[test]
     fn e9_reproduces_small() {
-        let r = e9(T, 9, 3);
-        assert!(r.pass(), "{}", r.render());
+        crate::assert_reproduces("e9", e9(T, 9, 3));
     }
 
     #[test]
     fn e13_reproduces() {
-        let r = e13(80, 13);
-        assert!(r.pass(), "{}", r.render());
+        crate::assert_reproduces("e13", e13(80, 13));
     }
 
     #[test]
     fn e15_reproduces() {
-        let r = e15(250, 15);
-        assert!(r.pass(), "{}", r.render());
+        crate::assert_reproduces("e15", e15(250, 15));
     }
 }

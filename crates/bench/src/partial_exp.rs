@@ -21,7 +21,7 @@ use fair_protocols::leaky::probe_real;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::table::{Report, Row};
+use fair_simlab::RowRecord;
 
 /// Real-world acceptance probabilities of Z₁ and Z₂ against Π̃.
 pub fn real_acceptances(trials: usize, seed: u64) -> (Acceptance, Acceptance) {
@@ -149,7 +149,7 @@ pub fn simulator_grid() -> Vec<Simulator> {
 }
 
 /// E12 — the full separation experiment.
-pub fn e12(trials: usize, seed: u64) -> Report {
+pub fn e12(trials: usize, seed: u64) -> Vec<RowRecord> {
     // Leak statistics (the protocol's defect, and the privacy side).
     // Probed through the simlab scheduler: integer per-tile counts make the
     // result bit-identical for every worker count.
@@ -254,18 +254,18 @@ pub fn e12(trials: usize, seed: u64) -> Report {
             .fold(0.0f64, f64::max)
     };
 
-    let rows = vec![
-        Row::vs_paper(
+    vec![
+        RowRecord::vs_paper(
             "Pr[input leak] (= 1/4·Pr[C=1])",
             0.25,
             leak_rate,
             0.05,
             0.02,
         ),
-        Row::check("every leak reveals the true x1", 1.0, leak_correct),
-        Row::vs_paper("real Pr[Z1 = 1]", 0.25, rz1.rate, rz1.ci, 0.05),
-        Row::vs_paper("real Pr[Z2 = 1]", 0.25, rz2.rate, rz2.ci, 0.05),
-        Row::check(
+        RowRecord::check("every leak reveals the true x1", 1.0, leak_correct),
+        RowRecord::vs_paper("real Pr[Z1 = 1]", 0.25, rz1.rate, rz1.ci, 0.05),
+        RowRecord::vs_paper("real Pr[Z2 = 1]", 0.25, rz2.rate, rz2.ci, 0.05),
+        RowRecord::check(
             format!(
                 "Lemma 26: min over simulators of max distinguisher gap (best sim {:?})",
                 best_sim
@@ -273,26 +273,21 @@ pub fn e12(trials: usize, seed: u64) -> Report {
             min_max_gap,
             min_max_gap > 0.02,
         ),
-        Row::upper_bound(
+        RowRecord::upper_bound(
             "Lemma 27: explicit simulator's gap ≤ 1/2",
             0.5,
             half_gap,
             0.03,
             0.0,
         ),
-        Row::upper_bound(
+        RowRecord::upper_bound(
             "Lemma 27: privacy — view simulation gap",
             0.06,
             view_gap,
             0.03,
             0.0,
         ),
-    ];
-    Report::new(
-        "E12",
-        "Π̃ separates 1/p-security from utility-based fairness (Lemmas 25–27)",
-        rows,
-    )
+    ]
 }
 
 /// E17 — Theorem 23, the realization statement: the Gordon–Katz protocol's
@@ -300,7 +295,7 @@ pub fn e12(trials: usize, seed: u64) -> Report {
 /// honest party output) is statistically indistinguishable from the
 /// F^{∧,$} ideal world with the paper's simulator. Measured as total
 /// variation distance over the joint outcome space.
-pub fn e17(trials: usize, seed: u64) -> Report {
+pub fn e17(trials: usize, seed: u64) -> Vec<RowRecord> {
     use fair_protocols::gordon_katz::{
         gk_instance, ideal_observables, AbortRule, GkAttack, GkConfig, ValueSampler,
     };
@@ -385,7 +380,7 @@ pub fn e17(trials: usize, seed: u64) -> Report {
             })
             .sum::<f64>()
             / 2.0;
-        rows.push(Row::upper_bound(
+        rows.push(RowRecord::upper_bound(
             format!("TV(real, F^$-ideal) under {rule:?}"),
             0.06,
             tv,
@@ -393,11 +388,7 @@ pub fn e17(trials: usize, seed: u64) -> Report {
             0.0,
         ));
     }
-    Report::new(
-        "E17",
-        "Theorem 23: the GK protocol realizes F^{∧,$} — real and ideal observables coincide",
-        rows,
-    )
+    rows
 }
 
 #[cfg(test)]
@@ -429,13 +420,11 @@ mod tests {
 
     #[test]
     fn e12_reproduces() {
-        let r = e12(400, 12);
-        assert!(r.pass(), "{}", r.render());
+        crate::assert_reproduces("e12", e12(400, 12));
     }
 
     #[test]
     fn e17_reproduces() {
-        let r = e17(600, 17);
-        assert!(r.pass(), "{}", r.render());
+        crate::assert_reproduces("e17", e17(600, 17));
     }
 }

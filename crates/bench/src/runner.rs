@@ -4,12 +4,12 @@
 //! per experiment plus an aggregate suite record (`BENCH_reproduce.json`).
 
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::Sender;
 use std::time::Instant;
 
+use fair_core::progressive::Update;
 use fair_simlab::metrics;
-use fair_simlab::{ExpRecord, ReportRecord, RowRecord, SuiteRecord};
-
-use crate::table::Report;
+use fair_simlab::{AdaptiveSummary, ExpRecord, ReportRecord, SuiteRecord};
 
 /// Where per-experiment records are persisted, relative to the working
 /// directory.
@@ -21,37 +21,45 @@ pub const BASE_SEED: u64 = 0xfa1e;
 /// Transcripts sampled per experiment by `reproduce --trace`.
 pub const SUITE_TRACE_SAMPLE: usize = 2;
 
-/// Converts rendered reports into simlab's storage form.
-pub fn to_report_records(reports: &[Report]) -> Vec<ReportRecord> {
-    reports
-        .iter()
-        .map(|rep| ReportRecord {
-            id: rep.id.clone(),
-            title: rep.title.clone(),
-            rows: rep
-                .rows
-                .iter()
-                .map(|row| RowRecord {
-                    label: row.label.clone(),
-                    paper: row.paper,
-                    measured: row.measured,
-                    ci: row.ci,
-                    pass: row.pass,
-                })
-                .collect(),
-        })
-        .collect()
+/// Runs `(id, trials, seed)` inside the `(id, seed)` tile-cache group, so
+/// a process with an installed tile store reuses every full tile it has
+/// already computed. `None` for an unknown id.
+pub(crate) fn run_grouped(id: &str, trials: usize, seed: u64) -> Option<ReportRecord> {
+    fair_tiles::with_group(id, seed, || crate::run_experiment(id, trials, seed))
+}
+
+/// [`run_grouped`] with the adaptive stopper armed: every `estimate()`
+/// inside the experiment stops once its 95% half-width reaches `epsilon`,
+/// sending a frame per tile batch to `progress` when given. Returns the
+/// report and the trials-used vs trials-requested accounting.
+pub(crate) fn run_adaptive(
+    id: &str,
+    trials: usize,
+    seed: u64,
+    epsilon: f64,
+    progress: Option<Sender<Update>>,
+) -> (Option<ReportRecord>, AdaptiveSummary) {
+    let (report, summary) =
+        fair_core::progressive::scoped(epsilon, progress, || run_grouped(id, trials, seed));
+    let adaptive = AdaptiveSummary {
+        epsilon,
+        estimates: summary.estimates,
+        early_stops: summary.early_stops,
+        trials_requested: summary.trials_requested,
+        trials_used: summary.trials_used,
+    };
+    (report, adaptive)
 }
 
 /// Runs one experiment with metrics collection enabled — both simlab's
 /// wall-clock latency pipeline and `fair-trace`'s deterministic
-/// per-protocol counters — returning the rendered reports and the
-/// structured execution record. `None` for an unknown id.
+/// per-protocol counters — returning the structured execution record,
+/// report included. `None` for an unknown id.
 ///
 /// Recording costs about as much as the plain path: every trial runs
 /// through a stats-only `RecordingTracer`, whose byte counts are
 /// `fair_trace::WireLen` sizes (arithmetic over field lengths).
-pub fn run_recorded(id: &str, trials: usize, seed: u64) -> Option<(Vec<Report>, ExpRecord)> {
+pub fn run_recorded(id: &str, trials: usize, seed: u64) -> Option<ExpRecord> {
     run_recorded_with(id, trials, seed, None)
 }
 
@@ -59,33 +67,22 @@ pub fn run_recorded(id: &str, trials: usize, seed: u64) -> Option<(Vec<Report>, 
 /// `epsilon` is set, every `estimate()` call inside the experiment stops
 /// once its 95% half-width reaches it, and the record carries the
 /// trials-used vs trials-requested accounting in its `adaptive` block.
-/// Either way the run enters the `(id, seed)` tile-cache group, so a
-/// process with an installed tile store reuses every full tile it has
-/// already computed.
+/// Either way the run enters the `(id, seed)` tile-cache group (see
+/// [`run_grouped`]).
 pub fn run_recorded_with(
     id: &str,
     trials: usize,
     seed: u64,
     epsilon: Option<f64>,
-) -> Option<(Vec<Report>, ExpRecord)> {
+) -> Option<ExpRecord> {
     metrics::start(id);
     fair_trace::metrics::set_enabled(true);
     let t0 = Instant::now();
-    let run = || fair_tiles::with_group(id, seed, || crate::run_experiment(id, trials, seed));
-    let (reports, adaptive) = match epsilon {
-        None => (run(), None),
+    let (report, adaptive) = match epsilon {
+        None => (run_grouped(id, trials, seed), None),
         Some(eps) => {
-            let (reports, summary) = fair_core::progressive::scoped(eps, None, run);
-            (
-                reports,
-                Some(fair_simlab::AdaptiveSummary {
-                    epsilon: eps,
-                    estimates: summary.estimates,
-                    early_stops: summary.early_stops,
-                    trials_requested: summary.trials_requested,
-                    trials_used: summary.trials_used,
-                }),
-            )
+            let (report, adaptive) = run_adaptive(id, trials, seed, eps, None);
+            (report, Some(adaptive))
         }
     };
     let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
@@ -93,8 +90,7 @@ pub fn run_recorded_with(
     let protocols = fair_trace::metrics::drain();
     metrics::stop();
     fair_trace::metrics::set_enabled(false);
-    let reports = reports?;
-    let record = ExpRecord {
+    Some(ExpRecord {
         id: id.to_string(),
         trials,
         seed,
@@ -102,11 +98,9 @@ pub fn run_recorded_with(
         wall_ms,
         latency,
         protocols,
-        pass: reports.iter().all(Report::pass),
         adaptive,
-        reports: to_report_records(&reports),
-    };
-    Some((reports, record))
+        report: report?,
+    })
 }
 
 /// Options for a `reproduce` suite run, parsed from the CLI.
@@ -150,7 +144,7 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteRecord, String> {
         }
         let run = run_recorded_with(id, opts.trials, opts.seed, opts.epsilon);
         let captured = opts.trace.then(fair_trace::capture::end);
-        let (reports, record) = run.ok_or_else(|| format!("unknown experiment id: {id}"))?;
+        let record = run.ok_or_else(|| format!("unknown experiment id: {id}"))?;
         if let Some(transcripts) = captured {
             let dir = Path::new(crate::tracecli::TRACE_DIR);
             match crate::tracecli::write_transcripts(dir, id, opts.trials, opts.seed, &transcripts)
@@ -163,12 +157,10 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteRecord, String> {
                 Err(e) => eprintln!("warning: could not persist {id} transcripts: {e}"),
             }
         }
-        for r in &reports {
-            if opts.markdown {
-                println!("{}", r.render_markdown());
-            } else {
-                println!("{}", r.render());
-            }
+        if opts.markdown {
+            println!("{}", record.report.render_markdown());
+        } else {
+            println!("{}", record.report.render());
         }
         let lat = record
             .latency
@@ -204,7 +196,7 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteRecord, String> {
         jobs: fair_simlab::effective_jobs(),
         seed: opts.seed,
         total_wall_ms: t0.elapsed().as_secs_f64() * 1000.0,
-        pass: experiments.iter().all(|e| e.pass),
+        pass: experiments.iter().all(|e| e.report.pass()),
         experiments,
     };
     if let Some(path) = &opts.json {
@@ -244,11 +236,10 @@ pub(crate) mod tests {
     #[test]
     fn recorded_run_captures_reports_and_latency() {
         let _serial = recording_lock();
-        let (reports, record) = run_recorded("e1", 20, 7).expect("e1 exists");
+        let record = run_recorded("e1", 20, 7).expect("e1 exists");
         assert_eq!(record.id, "e1");
         assert_eq!(record.trials, 20);
-        assert_eq!(reports.len(), record.reports.len());
-        assert_eq!(record.pass, reports.iter().all(Report::pass));
+        assert_eq!(record.report.id, "E1");
         // estimate() fed the metrics pipeline, so latency must be present.
         let lat = record.latency.expect("latency collected");
         assert!(lat.count > 0);
@@ -268,7 +259,7 @@ pub(crate) mod tests {
     fn recorded_run_returns_without_waiting_for_a_progress_tick() {
         let _serial = recording_lock();
         let t0 = Instant::now();
-        let (_, record) = run_recorded("e2", 16, 1).expect("e2 exists");
+        let record = run_recorded("e2", 16, 1).expect("e2 exists");
         let spent_ms = t0.elapsed().as_secs_f64() * 1000.0;
         assert!(
             spent_ms < record.wall_ms + 500.0,

@@ -5,27 +5,26 @@
 //! The scenario directory is resolved relative to the working directory
 //! first (release binaries run from the repo root), then relative to this
 //! crate's manifest (`cargo test` runs with `crates/bench` as cwd). Files
-//! that fail validation are simply absent from the registry — `ci.sh`
-//! runs `fair-scenario check scenarios` and fairlint rule R1 keeps the
-//! directory and EXPERIMENTS.md in lockstep, so a malformed file fails
-//! the build loudly rather than silently here.
+//! that fail validation are simply absent from the registry; the
+//! workspace test `tests/registry.rs` fails on any such file and keeps the
+//! directory and EXPERIMENTS.md in lockstep, and `ci.sh` runs
+//! `fair-scenario check scenarios`, so a malformed file fails the build
+//! loudly rather than silently here.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use fair_core::cost::CostFn;
 use fair_core::strategy::CorruptionPlan;
-use fair_core::{analytic, best_of, Payoff, Scenario, UtilityEstimate};
+use fair_core::{analytic, Payoff};
 use fair_protocols::scenarios::{coin_toss_sweep, gk_sweep, Opt2Scenario, Strategy};
 use fair_runtime::Value;
 use fair_scenario::{load_dir, Family, ScenarioSpec};
+use fair_simlab::{ReportRecord, RowRecord};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use crate::table::{Report, Row};
-
-/// Same pass/fail slack the static experiments use.
-const TOL: f64 = 0.05;
+use crate::experiments::{best, TOL};
 
 fn scenario_dir() -> PathBuf {
     let cwd = PathBuf::from("scenarios");
@@ -42,24 +41,9 @@ pub fn specs() -> &'static [ScenarioSpec] {
     SPECS.get_or_init(|| load_dir(&scenario_dir()).specs)
 }
 
-/// `(id, title)` pairs of every scenario-derived registry entry, in
-/// file-name order.
-pub fn listing() -> Vec<(String, String)> {
-    specs()
-        .iter()
-        .map(|s| (s.id.clone(), s.title.clone()))
-        .collect()
-}
-
-/// Runs the scenario with the given id; `None` if no compiled scenario
-/// claims it. Deterministic in `(trials, seed)` like every static
-/// experiment.
-pub fn run(id: &str, trials: usize, seed: u64) -> Option<Vec<Report>> {
-    let spec = specs().iter().find(|s| s.id == id)?;
-    Some(vec![run_spec(spec, trials, seed)])
-}
-
-fn run_spec(spec: &ScenarioSpec, trials: usize, seed: u64) -> Report {
+/// Runs one compiled scenario. Deterministic in `(trials, seed)` like
+/// every static experiment.
+pub(crate) fn run_spec(spec: &ScenarioSpec, trials: usize, seed: u64) -> ReportRecord {
     let rows = match &spec.family {
         Family::DepositCoinToss {
             g00,
@@ -76,17 +60,11 @@ fn run_spec(spec: &ScenarioSpec, trials: usize, seed: u64) -> Report {
         } => heatmap_rows(*g00, *g11, g10, costs, *rounds, trials, seed),
         Family::PartialFairness { p, abort_rounds } => partial_rows(p, *abort_rounds, trials, seed),
     };
-    Report::new(&spec.id, &spec.title, rows)
-}
-
-fn best<S: Scenario + Sync>(
-    scenarios: &[S],
-    payoff: &Payoff,
-    trials: usize,
-    seed: u64,
-) -> UtilityEstimate {
-    let (ests, idx) = best_of(scenarios, payoff, trials, seed);
-    ests[idx].clone()
+    ReportRecord {
+        id: spec.id.clone(),
+        title: spec.title.clone(),
+        rows,
+    }
 }
 
 /// Penalty-deposit coin toss: the deposit is forfeited on abort, so the
@@ -100,7 +78,7 @@ fn deposit_rows(
     deposits: &[f64],
     trials: usize,
     seed: u64,
-) -> Vec<Row> {
+) -> Vec<RowRecord> {
     let base = Payoff::gamma_fair_plus(g00, g10, g11).expect("compiler validated the payoff class");
     let mut rows = Vec::new();
     let mut deterred_at = None;
@@ -113,7 +91,7 @@ fn deposit_rows(
             seed.wrapping_add((i as u64) << 16),
         );
         let expect = (g00 - d).max(0.0);
-        rows.push(Row::vs_paper(
+        rows.push(RowRecord::vs_paper(
             format!("deposit={d:.2}: best deviation = max(γ00−d, 0)"),
             expect,
             u.mean,
@@ -127,7 +105,7 @@ fn deposit_rows(
     // The deterrence threshold: once d ≥ γ00 aborting nets no more than
     // behaving (the compiler guarantees the sweep reaches this regime).
     if let Some((d, u)) = deterred_at {
-        rows.push(Row::upper_bound(
+        rows.push(RowRecord::upper_bound(
             format!("deterrence: d={d:.2} ≥ γ00={g00:.2} ⇒ best deviation ≤ 0"),
             0.0,
             u.mean,
@@ -150,7 +128,7 @@ fn heatmap_rows(
     rounds: usize,
     trials: usize,
     seed: u64,
-) -> Vec<Row> {
+) -> Vec<RowRecord> {
     let mut rows = Vec::new();
     for (i, g10) in g10s.iter().enumerate() {
         let payoff = Payoff::gamma_fair_plus(g00, *g10, g11).expect("compiler validated every γ10");
@@ -169,7 +147,7 @@ fn heatmap_rows(
             });
         }
         let u = best(&sweep, &payoff, trials, seed.wrapping_add((i as u64) << 16));
-        rows.push(Row::vs_paper(
+        rows.push(RowRecord::vs_paper(
             format!("γ10={g10:.2}: best abort = (γ10+γ11)/2"),
             bound,
             u.mean,
@@ -179,7 +157,7 @@ fn heatmap_rows(
         for c in costs {
             let price = CostFn::linear(2, *c);
             let net = u.mean - price.cost(1);
-            rows.push(Row::vs_paper(
+            rows.push(RowRecord::vs_paper(
                 format!("γ10={g10:.2} cost={c:.2}: net attack value"),
                 bound - price.cost(1),
                 net,
@@ -204,7 +182,7 @@ fn heatmap_rows(
         .iter()
         .filter(|r| r.label.contains("net attack value") && r.measured > 0.0)
         .count();
-    rows.push(Row::check(
+    rows.push(RowRecord::check(
         "rational cells (net > 0) match the analytic frontier",
         rational_measured as f64,
         rational_measured == rational_analytic,
@@ -215,7 +193,7 @@ fn heatmap_rows(
 /// Gordon–Katz 1/p curve: for each p, the best abort attack against the
 /// poly-domain protocol (AND on bits, |Y| = 2) stays at or below 1/p,
 /// with the m = 8·p·|Y| round count the construction prescribes.
-fn partial_rows(ps: &[u64], abort_rounds: usize, trials: usize, seed: u64) -> Vec<Row> {
+fn partial_rows(ps: &[u64], abort_rounds: usize, trials: usize, seed: u64) -> Vec<RowRecord> {
     let payoff = Payoff::gk();
     let bit: fair_protocols::gordon_katz::ValueSampler =
         Arc::new(|rng: &mut StdRng| Value::Scalar(rng.random_range(0..2)));
@@ -233,14 +211,14 @@ fn partial_rows(ps: &[u64], abort_rounds: usize, trials: usize, seed: u64) -> Ve
         );
         let rounds: Vec<usize> = (1..=abort_rounds).collect();
         let u = best(&gk_sweep(&cfg, &rounds), &payoff, trials, seed ^ p);
-        rows.push(Row::upper_bound(
+        rows.push(RowRecord::upper_bound(
             format!("p={p}: best abort attack ≤ 1/p"),
             analytic::gk_bound(*p),
             u.mean,
             u.ci,
             TOL / 2.0,
         ));
-        rows.push(Row::vs_paper(
+        rows.push(RowRecord::vs_paper(
             format!("p={p}: rounds m = 8·p·|Y|"),
             (8 * p * 2) as f64,
             cfg.m as f64,
@@ -256,14 +234,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shipped_scenarios_load_and_list() {
+    fn shipped_scenarios_load() {
         let ids: Vec<&str> = specs().iter().map(|s| s.id.as_str()).collect();
         assert!(ids.contains(&"s_deposit_coin"), "{ids:?}");
         assert!(ids.contains(&"s_abort_heatmap"), "{ids:?}");
         assert!(ids.contains(&"s_gk_curve"), "{ids:?}");
-        for (id, title) in listing() {
-            assert!(id.starts_with("s_"), "{id}");
-            assert!(!title.trim().is_empty(), "{id} untitled");
+        for spec in specs() {
+            assert!(spec.id.starts_with("s_"), "{}", spec.id);
+            assert!(!spec.title.trim().is_empty(), "{} untitled", spec.id);
         }
     }
 
@@ -271,7 +249,7 @@ mod tests {
     fn scenario_ids_stay_disjoint_from_the_static_registry() {
         for spec in specs() {
             assert!(
-                !crate::ALL_EXPERIMENTS.contains(&spec.id.as_str()),
+                crate::ALL_EXPERIMENTS.iter().all(|e| e.id != spec.id),
                 "{} collides with a static experiment id",
                 spec.id
             );
@@ -280,18 +258,16 @@ mod tests {
 
     #[test]
     fn deposit_family_reproduces_its_threshold() {
-        let reports = run("s_deposit_coin", 60, 11).expect("registered");
-        assert_eq!(reports.len(), 1);
+        let report = crate::run_experiment("s_deposit_coin", 60, 11).expect("registered");
         assert!(
-            reports[0].pass(),
+            report.pass(),
             "deposit scenario failed:\n{}",
-            reports[0].render()
+            report.render()
         );
     }
 
     #[test]
     fn unknown_ids_stay_unknown() {
-        assert!(run("s_nope", 10, 1).is_none());
-        assert!(run("e1", 10, 1).is_none());
+        assert!(crate::run_experiment("s_nope", 10, 1).is_none());
     }
 }

@@ -53,9 +53,8 @@ impl Backend for ExperimentBackend {
 /// is installed, previously computed 64-trial tiles are reused and newly
 /// computed ones are recorded.
 pub fn rendered_result(exp: &str, trials: usize, seed: u64) -> Option<String> {
-    let reports = fair_tiles::with_group(exp, seed, || crate::run_experiment(exp, trials, seed))?;
-    let records = crate::runner::to_report_records(&reports);
-    Some(fair_simlab::result_json(exp, trials, seed, &records).render_pretty() + "\n")
+    let report = crate::runner::run_grouped(exp, trials, seed)?;
+    Some(fair_simlab::result_json(exp, trials, seed, &report).render_pretty() + "\n")
 }
 
 /// Runs `(exp, trials, seed)` adaptively — each `estimate()` inside the
@@ -72,16 +71,11 @@ pub fn progressive_result(
     epsilon: f64,
     emit: &mut dyn FnMut(ProgressUpdate),
 ) -> Option<String> {
-    if !crate::experiment_listing().iter().any(|(id, _)| id == exp) {
-        return None;
-    }
+    crate::lookup(exp)?;
     let (tx, rx) = mpsc::channel();
-    let (reports, summary) = std::thread::scope(|scope| {
-        let worker = scope.spawn(move || {
-            fair_core::progressive::scoped(epsilon, Some(tx), || {
-                fair_tiles::with_group(exp, seed, || crate::run_experiment(exp, trials, seed))
-            })
-        });
+    let (report, adaptive) = std::thread::scope(|scope| {
+        let worker =
+            scope.spawn(move || crate::runner::run_adaptive(exp, trials, seed, epsilon, Some(tx)));
         // Relay frames while the worker runs; the channel closes when the
         // scoped context (and its Sender) drops.
         for update in rx {
@@ -96,20 +90,11 @@ pub fn progressive_result(
         }
         worker.join().unwrap_or((None, Default::default()))
     });
-    let reports = reports?;
-    let records = crate::runner::to_report_records(&reports);
-    let adaptive = fair_simlab::AdaptiveSummary {
-        epsilon,
-        estimates: summary.estimates,
-        early_stops: summary.early_stops,
-        trials_requested: summary.trials_requested,
-        trials_used: summary.trials_used,
-    };
     let doc = Json::obj()
         .field("adaptive", adaptive.to_json())
         .field(
             "result",
-            fair_simlab::result_json(exp, trials, seed, &records),
+            fair_simlab::result_json(exp, trials, seed, &report?),
         )
         .canonical();
     Some(doc.render_pretty() + "\n")
@@ -550,7 +535,7 @@ mod tests {
     fn rendered_result_matches_the_batch_record_document() {
         let body = rendered_result("e1", 15, 7).expect("e1 exists");
         let _serial = crate::runner::tests::recording_lock();
-        let (_, record) = crate::runner::run_recorded("e1", 15, 7).expect("e1 exists");
+        let record = crate::runner::run_recorded("e1", 15, 7).expect("e1 exists");
         assert_eq!(body, record.result_json().render_pretty() + "\n");
     }
 

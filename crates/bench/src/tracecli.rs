@@ -47,9 +47,7 @@ pub const PROTOCOL_TARGETS: [(&str, &str); 2] = [
 
 /// Whether `id` names a runnable trace target.
 pub fn is_target(id: &str) -> bool {
-    crate::ALL_EXPERIMENTS.contains(&id)
-        || PROTOCOL_TARGETS.iter().any(|(t, _)| *t == id)
-        || crate::scenario_exp::specs().iter().any(|s| s.id == id)
+    crate::lookup(id).is_some() || PROTOCOL_TARGETS.iter().any(|(t, _)| *t == id)
 }
 
 /// Runs a target for its side effects on the armed trace collectors,

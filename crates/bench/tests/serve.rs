@@ -34,8 +34,7 @@ fn served_bytes_equal_batch_record_bytes_cold_and_cached() {
     let (exp, trials, seed) = ("e1", 25, 7u64);
 
     // The batch side: the result document a `reproduce` run records.
-    let (_, record) =
-        fair_bench::runner::run_recorded(exp, trials, seed).expect("known experiment");
+    let record = fair_bench::runner::run_recorded(exp, trials, seed).expect("known experiment");
     let batch = record.result_json().render_pretty() + "\n";
     // Registry determinism: an independent run renders the same bytes.
     assert_eq!(rendered_result(exp, trials, seed).expect("known"), batch);
@@ -71,8 +70,7 @@ fn scenario_derived_experiments_serve_byte_identical_to_batch() {
         "scenario id listed on /experiments"
     );
 
-    let (_, record) =
-        fair_bench::runner::run_recorded(exp, trials, seed).expect("compiled scenario");
+    let record = fair_bench::runner::run_recorded(exp, trials, seed).expect("compiled scenario");
     let batch = record.result_json().render_pretty() + "\n";
     assert_eq!(rendered_result(exp, trials, seed).expect("known"), batch);
 

@@ -2,22 +2,23 @@
 #![warn(missing_docs)]
 //! `fairlint` — the project's own static-analysis pass.
 //!
-//! The reproduction suite's claims rest on three properties no generic
+//! The reproduction suite's claims rest on two properties no generic
 //! linter checks: **determinism** (bit-identical estimates for any
 //! worker count require no wall-clock, ambient entropy, or
-//! iteration-order dependence inside the protocol/estimator layers),
+//! iteration-order dependence inside the protocol/estimator layers) and
 //! **secret hygiene** (shares, MAC keys/tags, commitment openings and
 //! signing keys must not leak through derived `Debug` or short-circuit
-//! `==`), and **experiment-registry conformance** (the shared runner's
-//! `ALL_EXPERIMENTS` registry and the EXPERIMENTS.md summary table stay
-//! in lockstep).
+//! `==`). Experiment-registry lockstep with EXPERIMENTS.md is not a lint:
+//! the workspace test `tests/registry.rs` checks it against the live
+//! registry.
 //!
-//! fairlint enforces those as rules `D1`–`D2`, `S1`–`S2`, `R1`–`R5`,
-//! plus `L1` policing its own suppression comments. It is a token-level
-//! analysis over a scrubbing lexer ([`lexer`]) — comments and string
-//! literals are blanked before matching, so prose never trips a rule —
-//! with path-scoped configuration from `fairlint.toml` ([`config`]) and
-//! inline escape hatches:
+//! fairlint enforces those as rules `D1`–`D2` and `S1`–`S2`, alongside
+//! the repository-hygiene rules `R2`–`R5` and `L1`, which polices its own
+//! suppression comments. It is a token-level analysis over a scrubbing
+//! lexer ([`lexer`]) — comments and string literals are blanked before
+//! matching, so prose never trips a rule — with path-scoped
+//! configuration from `fairlint.toml` ([`config`]) and inline escape
+//! hatches:
 //!
 //! ```text
 //! // fairlint::allow(D1, reason = "bench-only timing, outside the boundary")

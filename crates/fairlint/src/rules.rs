@@ -48,12 +48,6 @@ pub const RULES: &[RuleInfo] = &[
         fix: "Return a typed error (EngineError, ParseError) instead. Add newly exposed files to [rules.S2] paths so they inherit the contract.",
     },
     RuleInfo {
-        id: "R1",
-        summary: "the shared-runner registry and EXPERIMENTS.md must agree",
-        rationale: "An experiment that exists in only one of the two places is either undocumented or unrunnable (`reproduce eN` runs exactly the registered ids).",
-        fix: "Add/remove the ALL_EXPERIMENTS entry and the EXPERIMENTS.md row together.",
-    },
-    RuleInfo {
         id: "R2",
         summary: "every crate root carries #![forbid(unsafe_code)] (or an explicit allowlist entry)",
         rationale: "The whole workspace builds without unsafe; keeping the forbid in every crate root makes that a checked invariant instead of a habit.",
@@ -128,7 +122,6 @@ pub fn check_all(ws: &Workspace) -> Vec<Diagnostic> {
         check_l1(f, &mut diags);
         check_t1(ws, f, &mut diags);
     }
-    check_r1(ws, &mut diags);
     check_r2(ws, &mut diags);
     check_r5(ws, &mut diags);
 
@@ -412,188 +405,6 @@ fn check_s2(ws: &Workspace, f: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// R1 — experiment-registry conformance: the `ALL_EXPERIMENTS` registry
-/// and EXPERIMENTS.md rows agree.
-fn check_r1(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    let Some(lib) = ws.file_by_rel("crates/bench/src/lib.rs") else {
-        return;
-    };
-    let Some((registered, reg_line)) = parse_registry(&lib.raw) else {
-        out.push(err(
-            "R1",
-            lib,
-            1,
-            "crates/bench/src/lib.rs has no parseable ALL_EXPERIMENTS registry".to_string(),
-        ));
-        return;
-    };
-    let md_ids: Vec<String> = ws
-        .experiments_md
-        .as_deref()
-        .map(experiments_md_ids)
-        .unwrap_or_default();
-
-    for id in &registered {
-        if ws.experiments_md.is_some() && !md_ids.contains(id) {
-            out.push(err(
-                "R1",
-                lib,
-                reg_line,
-                format!(
-                    "experiment `{id}` is registered but missing from the EXPERIMENTS.md summary table"
-                ),
-            ));
-        }
-    }
-    for id in &md_ids {
-        if !registered.contains(id) {
-            out.push(err(
-                "R1",
-                lib,
-                reg_line,
-                format!("EXPERIMENTS.md lists `{id}` but it is not registered in ALL_EXPERIMENTS"),
-            ));
-        }
-    }
-
-    // Scenario-dir leg: every scenarios/*.toml id must appear in the
-    // EXPERIMENTS.md scenario table (and vice versa), stay inside the
-    // `s_` namespace, and never collide with a static registry id.
-    let raw_diag = |rel: &str, line: usize, message: String| Diagnostic {
-        rule: "R1",
-        severity: Severity::Error,
-        rel: rel.to_string(),
-        line,
-        message,
-    };
-    let md_scenario_ids = ws
-        .experiments_md
-        .as_deref()
-        .map(experiments_md_scenario_ids)
-        .unwrap_or_default();
-    let mut scenario_ids: Vec<String> = Vec::new();
-    for (rel, raw) in &ws.scenario_files {
-        let Some((id, line)) = scenario_file_id(raw) else {
-            out.push(raw_diag(
-                rel,
-                1,
-                "scenario file has no parseable `scenario.id` (string under [scenario])"
-                    .to_string(),
-            ));
-            continue;
-        };
-        if registered.contains(&id) {
-            out.push(raw_diag(
-                rel,
-                line,
-                format!("scenario id `{id}` collides with a static ALL_EXPERIMENTS entry"),
-            ));
-        }
-        if ws.experiments_md.is_some() && !md_scenario_ids.iter().any(|(m, _)| *m == id) {
-            out.push(raw_diag(
-                rel,
-                line,
-                format!(
-                    "scenario `{id}` is missing from the EXPERIMENTS.md scenario table \
-                     (`| {id} | … |` row)"
-                ),
-            ));
-        }
-        scenario_ids.push(id);
-    }
-    for (id, line) in &md_scenario_ids {
-        if !scenario_ids.contains(id) {
-            out.push(raw_diag(
-                "EXPERIMENTS.md",
-                *line,
-                format!("EXPERIMENTS.md lists scenario `{id}` but no scenarios/*.toml declares it"),
-            ));
-        }
-    }
-}
-
-/// Extracts `scenario.id` (and its line) from a scenario file, using the
-/// same lenient TOML-subset reader the config loader uses — R1 anchors
-/// lockstep diagnostics on the declaration even when the rest of the
-/// file would not compile.
-fn scenario_file_id(raw: &str) -> Option<(String, usize)> {
-    fair_simlab::tomlish::parse_lenient(raw)
-        .into_iter()
-        .find_map(|item| match (item.key.as_str(), item.value) {
-            ("scenario.id", fair_simlab::tomlish::Value::Str(s)) => Some((s, item.line)),
-            _ => None,
-        })
-}
-
-/// Scenario ids (and their 1-based lines) from `| s_… |` summary-table
-/// rows in EXPERIMENTS.md. The `s_` prefix keeps these rows disjoint
-/// from the `| E<k> |` rows [`experiments_md_ids`] reads.
-fn experiments_md_scenario_ids(md: &str) -> Vec<(String, usize)> {
-    let mut ids = Vec::new();
-    for (i, line) in md.lines().enumerate() {
-        let Some(rest) = line.strip_prefix("| s_") else {
-            continue;
-        };
-        let tail: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '_')
-            .collect();
-        if tail.is_empty() {
-            continue;
-        }
-        let id = format!("s_{tail}");
-        if !ids.iter().any(|(m, _)| *m == id) {
-            ids.push((id, i + 1));
-        }
-    }
-    ids
-}
-
-/// Extracts `ALL_EXPERIMENTS` entries (and the declaration line) from
-/// raw bench-lib source.
-fn parse_registry(raw: &str) -> Option<(Vec<String>, usize)> {
-    let at = raw.find("ALL_EXPERIMENTS")?;
-    let line = 1 + raw[..at].matches('\n').count();
-    // Skip the type annotation's `[&str; N]` — the id list is the
-    // bracket after `=`.
-    let eq = at + raw[at..].find('=')?;
-    let open = eq + raw[eq..].find('[')?;
-    let close = open + raw[open..].find(']')?;
-    let mut ids = Vec::new();
-    let body = &raw[open + 1..close];
-    let mut rest = body;
-    while let Some(q1) = rest.find('"') {
-        let Some(q2) = rest[q1 + 1..].find('"') else {
-            break;
-        };
-        ids.push(rest[q1 + 1..q1 + 1 + q2].to_string());
-        rest = &rest[q1 + 2 + q2..];
-    }
-    if ids.is_empty() {
-        None
-    } else {
-        Some((ids, line))
-    }
-}
-
-/// Experiment ids (`e1`, `e2`, …) from `| E<k> |` summary-table rows.
-fn experiments_md_ids(md: &str) -> Vec<String> {
-    let mut ids = Vec::new();
-    for line in md.lines() {
-        let Some(rest) = line.strip_prefix("| E") else {
-            continue;
-        };
-        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-        if !digits.is_empty() {
-            let id = format!("e{digits}");
-            if !ids.contains(&id) {
-                ids.push(id);
-            }
-        }
-    }
-    ids
-}
-
 /// R2 — every crate root (and the workspace root lib) forbids unsafe.
 fn check_r2(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     for f in &ws.files {
@@ -791,22 +602,6 @@ mod tests {
         assert!(!line_has_float_cmp("if a <= 0.5 {"));
         assert!(!line_has_float_cmp("if tuple.0 == other.0 {"));
         assert!(!line_has_float_cmp("let eq = a == b;"));
-    }
-
-    #[test]
-    fn registry_parsing() {
-        let (ids, line) = parse_registry(
-            "//! docs\npub const ALL_EXPERIMENTS: [&str; 3] = [\n    \"e1\", \"e2\",\n    \"e10\",\n];\n",
-        )
-        .expect("parses");
-        assert_eq!(ids, vec!["e1", "e2", "e10"]);
-        assert_eq!(line, 2);
-    }
-
-    #[test]
-    fn experiments_md_rows() {
-        let ids = experiments_md_ids("| Exp | x |\n| E1 | a |\n| E13 | b |\n| Emp | c |\n");
-        assert_eq!(ids, vec!["e1", "e13"]);
     }
 
     #[test]

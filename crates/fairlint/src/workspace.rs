@@ -1,5 +1,5 @@
 //! Workspace loading: walk the tree, build [`SourceFile`] models, load
-//! configuration and the experiment registry's markdown side.
+//! configuration and the member list.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -22,8 +22,6 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
     /// Effective configuration (defaults merged with `fairlint.toml`).
     pub config: Config,
-    /// Raw `EXPERIMENTS.md`, when present (rule R1's third leg).
-    pub experiments_md: Option<String>,
     /// Workspace member crate names (directory basenames), expanded from
     /// the root `Cargo.toml` `members` globs. Empty when the root has no
     /// workspace manifest. Rule R5's subject.
@@ -31,9 +29,6 @@ pub struct Workspace {
     /// 1-based line of the `members = [...]` declaration in the root
     /// `Cargo.toml` (1 when absent) — where R5 diagnostics anchor.
     pub members_line: usize,
-    /// Scenario files under `scenarios/` as `(workspace-relative path,
-    /// raw contents)`, sorted by path — rule R1's scenario-dir leg.
-    pub scenario_files: Vec<(String, String)>,
 }
 
 impl Workspace {
@@ -55,18 +50,14 @@ impl Workspace {
             })
             .collect::<io::Result<Vec<_>>>()?;
         let config = Config::load(&root);
-        let experiments_md = std::fs::read_to_string(root.join("EXPERIMENTS.md")).ok();
         let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap_or_default();
         let (members, members_line) = expand_members(&root, &manifest);
-        let scenario_files = load_scenarios(&root);
         Ok(Workspace {
             root,
             files,
             config,
-            experiments_md,
             members,
             members_line,
-            scenario_files,
         })
     }
 
@@ -118,29 +109,6 @@ fn expand_members(root: &Path, manifest: &str) -> (Vec<String>, usize) {
     members.sort();
     members.dedup();
     (members, line)
-}
-
-/// Reads every `scenarios/*.toml` (sorted). A missing directory is just
-/// an empty set; an unreadable file is skipped — R1 checks lockstep with
-/// EXPERIMENTS.md, it does not replace `fair-scenario check`.
-fn load_scenarios(root: &Path) -> Vec<(String, String)> {
-    let Ok(entries) = std::fs::read_dir(root.join("scenarios")) else {
-        return Vec::new();
-    };
-    let mut paths: Vec<PathBuf> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
-        .collect();
-    paths.sort();
-    paths
-        .into_iter()
-        .filter_map(|p| {
-            let raw = std::fs::read_to_string(&p).ok()?;
-            let name = p.file_name()?.to_string_lossy().into_owned();
-            Some((format!("scenarios/{name}"), raw))
-        })
-        .collect()
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -110,61 +110,9 @@ fn ws_bad_unscoped_member_names_the_crate() {
         r5.iter().any(|m| m.contains("`norust`")),
         "R5 should flag the unscoped member: {r5:?}"
     );
-    // The scoped members (bench/core/crypto/runtime under the default
-    // config) are covered and stay quiet.
+    // The scoped members (core/crypto/runtime under the default config)
+    // are covered and stay quiet.
     assert!(!r5.iter().any(|m| m.contains("`core`")), "{r5:?}");
-}
-
-#[test]
-fn ws_bad_registry_violations_cover_both_directions() {
-    let diags = analyze("ws_bad");
-    let r1: Vec<&str> = diags
-        .iter()
-        .filter(|d| d.rule == "R1")
-        .map(|d| d.message.as_str())
-        .collect();
-    assert!(
-        r1.iter()
-            .any(|m| m.contains("`e2`") && m.contains("EXPERIMENTS.md")),
-        "{r1:?}"
-    );
-    assert!(r1
-        .iter()
-        .any(|m| m.contains("`e9`") && m.contains("not registered")));
-}
-
-#[test]
-fn ws_bad_scenario_lockstep_violations_fire() {
-    let diags = analyze("ws_bad");
-    let has = |rel: &str, line: usize, needle: &str| {
-        diags
-            .iter()
-            .any(|d| d.rule == "R1" && d.rel == rel && d.line == line && d.message.contains(needle))
-    };
-    // A valid id with no EXPERIMENTS.md row, anchored on the id line.
-    assert!(
-        has(
-            "scenarios/orphan.toml",
-            3,
-            "missing from the EXPERIMENTS.md"
-        ),
-        "{diags:#?}"
-    );
-    // A file with no parseable id.
-    assert!(
-        has("scenarios/noid.toml", 1, "no parseable `scenario.id`"),
-        "{diags:#?}"
-    );
-    // An id colliding with the static registry.
-    assert!(
-        has("scenarios/collide.toml", 3, "collides with a static"),
-        "{diags:#?}"
-    );
-    // An md row no file declares, anchored on the row.
-    assert!(
-        has("EXPERIMENTS.md", 7, "no scenarios/*.toml declares it"),
-        "{diags:#?}"
-    );
 }
 
 #[test]

@@ -2,13 +2,15 @@
 //! runs, persisted as JSON so fairness reproductions are re-checkable and
 //! the suite's performance trajectory is trackable across commits
 //! (`target/simlab/<exp>.json` per run, `BENCH_reproduce.json` aggregate).
+//! The report types also render the paper-vs-measured tables `reproduce`
+//! prints.
 
 use crate::json::Json;
 use crate::metrics::LatencySummary;
 use fair_trace::{ProtoSummary, QuantileSummary};
 
-/// One measured row of an experiment table (mirrors `fair-bench`'s `Row`
-/// without depending on it — simlab sits below the bench crate).
+/// One measured row of an experiment table: a paper value against the
+/// measured one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RowRecord {
     /// What the row measures.
@@ -23,7 +25,63 @@ pub struct RowRecord {
     pub pass: bool,
 }
 
-/// One rendered report (an experiment may emit several).
+impl RowRecord {
+    /// A row compared against a paper value within `tol + ci`.
+    pub fn vs_paper(
+        label: impl Into<String>,
+        paper: f64,
+        measured: f64,
+        ci: f64,
+        tol: f64,
+    ) -> Self {
+        RowRecord {
+            label: label.into(),
+            paper: Some(paper),
+            measured,
+            ci,
+            pass: (measured - paper).abs() <= ci + tol,
+        }
+    }
+
+    /// A row that must only stay below a paper upper bound.
+    pub fn upper_bound(
+        label: impl Into<String>,
+        bound: f64,
+        measured: f64,
+        ci: f64,
+        tol: f64,
+    ) -> Self {
+        RowRecord {
+            label: label.into(),
+            paper: Some(bound),
+            measured,
+            ci,
+            pass: measured <= bound + ci + tol,
+        }
+    }
+
+    /// A qualitative row with an explicit verdict.
+    pub fn check(label: impl Into<String>, measured: f64, pass: bool) -> Self {
+        RowRecord {
+            label: label.into(),
+            paper: None,
+            measured,
+            ci: 0.0,
+            pass,
+        }
+    }
+
+    /// The paper column as printed: four decimals, or `—` for a
+    /// qualitative row.
+    fn paper_cell(&self) -> String {
+        self.paper
+            .map(|p| format!("{p:.4}"))
+            .unwrap_or_else(|| "—".to_string())
+    }
+}
+
+/// The report one experiment run emits: its paper claim and the rows
+/// that check it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReportRecord {
     /// Report id (e.g. `"E5"`).
@@ -38,6 +96,60 @@ impl ReportRecord {
     /// Whether every row passed.
     pub fn pass(&self) -> bool {
         self.rows.iter().all(|r| r.pass)
+    }
+
+    /// Renders the report as a GitHub-flavored markdown table.
+    pub fn render_markdown(&self) -> String {
+        let mut out = String::new();
+        out.push_str(&format!("### {}: {}\n\n", self.id, self.title));
+        out.push_str("| quantity | paper | measured | ±95% | ok |\n");
+        out.push_str("|---|---|---|---|---|\n");
+        for r in &self.rows {
+            out.push_str(&format!(
+                "| {} | {} | {:.4} | {:.4} | {} |\n",
+                r.label.replace('|', "\\|"),
+                r.paper_cell(),
+                r.measured,
+                r.ci,
+                if r.pass { "✓" } else { "✗" }
+            ));
+        }
+        out.push('\n');
+        out
+    }
+
+    /// Renders the report as an aligned text table.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        out.push_str(&format!("== {}: {} ==\n", self.id, self.title));
+        let w = self
+            .rows
+            .iter()
+            .map(|r| r.label.len())
+            .max()
+            .unwrap_or(10)
+            .max(10);
+        out.push_str(&format!(
+            "{:<w$}  {:>10}  {:>10}  {:>8}  {}\n",
+            "quantity",
+            "paper",
+            "measured",
+            "±95%",
+            "ok",
+            w = w
+        ));
+        for r in &self.rows {
+            out.push_str(&format!(
+                "{:<w$}  {:>10}  {:>10.4}  {:>8.4}  {}\n",
+                r.label,
+                r.paper_cell(),
+                r.measured,
+                r.ci,
+                if r.pass { "✓" } else { "✗ FAIL" },
+                w = w
+            ));
+        }
+        out
     }
 }
 
@@ -93,13 +205,11 @@ pub struct ExpRecord {
     /// bit-identical for any worker count — unlike the wall-clock
     /// `latency` block.
     pub protocols: Vec<ProtoSummary>,
-    /// Whether every report row passed.
-    pub pass: bool,
     /// Adaptive-stopper accounting when the run used `--epsilon`
     /// (trials-used vs trials-requested); `None` for fixed-budget runs.
     pub adaptive: Option<AdaptiveSummary>,
-    /// The full measurement tables.
-    pub reports: Vec<ReportRecord>,
+    /// The full measurement table.
+    pub report: ReportRecord,
 }
 
 /// The deterministic **result document** of one estimation point: the
@@ -108,18 +218,15 @@ pub struct ExpRecord {
 /// inputs, with the volatile observability fields (wall clock, latency)
 /// excluded. This is the single source of truth shared by the batch
 /// writers and `fair-serve`: for a fixed point the served body is
-/// byte-identical to the batch record's result, cold or cached.
-pub fn result_json(id: &str, trials: usize, seed: u64, reports: &[ReportRecord]) -> Json {
-    let pass = reports.iter().all(ReportRecord::pass);
+/// byte-identical to the batch record's result, cold or cached. The
+/// report sits in a one-element `reports` array.
+pub fn result_json(id: &str, trials: usize, seed: u64, report: &ReportRecord) -> Json {
     Json::obj()
         .field("experiment", Json::str(id))
         .field("trials", Json::num(trials as f64))
         .field("seed", Json::num(seed as f64))
-        .field("pass", Json::Bool(pass))
-        .field(
-            "reports",
-            Json::Arr(reports.iter().map(report_json).collect()),
-        )
+        .field("pass", Json::Bool(report.pass()))
+        .field("reports", Json::Arr(vec![report_json(report)]))
         .canonical()
 }
 
@@ -150,7 +257,7 @@ impl ExpRecord {
     /// The deterministic result document for this record's point — see
     /// [`result_json`].
     pub fn result_json(&self) -> Json {
-        result_json(&self.id, self.trials, self.seed, &self.reports)
+        result_json(&self.id, self.trials, self.seed, &self.report)
     }
 
     /// The full per-experiment JSON document.
@@ -158,10 +265,7 @@ impl ExpRecord {
         let doc = self
             .summary_fields()
             .field("seed", Json::num(self.seed as f64));
-        doc.field(
-            "reports",
-            Json::Arr(self.reports.iter().map(report_json).collect()),
-        )
+        doc.field("reports", Json::Arr(vec![report_json(&self.report)]))
     }
 
     /// The summary object embedded in the aggregate suite record:
@@ -172,7 +276,7 @@ impl ExpRecord {
             .field("trials", Json::num(self.trials as f64))
             .field("jobs", Json::num(self.jobs as f64))
             .field("wall_clock_ms", Json::Num(round3(self.wall_ms)))
-            .field("pass", Json::Bool(self.pass));
+            .field("pass", Json::Bool(self.report.pass()));
         if let Some(lat) = &self.latency {
             doc = doc.field(
                 "trial_latency_ns",
@@ -322,9 +426,8 @@ mod tests {
                 msgs: QuantileSummary::default(),
                 bytes: QuantileSummary::default(),
             }],
-            pass: true,
             adaptive: None,
-            reports: vec![ReportRecord {
+            report: ReportRecord {
                 id: "E1".into(),
                 title: "contract signing".into(),
                 rows: vec![RowRecord {
@@ -334,8 +437,40 @@ mod tests {
                     ci: 0.01,
                     pass: true,
                 }],
-            }],
+            },
         }
+    }
+
+    #[test]
+    fn vs_paper_passes_within_tolerance() {
+        assert!(RowRecord::vs_paper("x", 0.75, 0.751, 0.002, 0.0).pass);
+        assert!(!RowRecord::vs_paper("x", 0.75, 0.80, 0.002, 0.0).pass);
+        assert!(RowRecord::vs_paper("x", 0.75, 0.80, 0.002, 0.06).pass);
+    }
+
+    #[test]
+    fn upper_bound_only_fails_upward() {
+        assert!(RowRecord::upper_bound("x", 0.5, 0.1, 0.0, 0.0).pass);
+        assert!(RowRecord::upper_bound("x", 0.5, 0.5, 0.0, 0.0).pass);
+        assert!(!RowRecord::upper_bound("x", 0.5, 0.6, 0.0, 0.01).pass);
+    }
+
+    #[test]
+    fn report_renders_all_rows() {
+        let rep = ReportRecord {
+            id: "E0".into(),
+            title: "smoke".into(),
+            rows: vec![
+                RowRecord::vs_paper("a", 1.0, 1.0, 0.0, 0.0),
+                RowRecord::check("b", 0.5, true),
+            ],
+        };
+        let s = rep.render();
+        assert!(s.contains("E0"));
+        assert!(s.contains('a'));
+        assert!(s.contains('b'));
+        assert!(s.contains('✓'));
+        assert!(rep.pass());
     }
 
     #[test]
@@ -488,7 +623,7 @@ mod tests {
         assert_eq!(doc.clone().canonical().render_pretty(), doc.render_pretty());
         // The free function and the method agree.
         assert_eq!(
-            result_json(&record.id, record.trials, record.seed, &record.reports),
+            result_json(&record.id, record.trials, record.seed, &record.report),
             doc
         );
     }

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! The paper's opening example: two ways to sign a contract.
 //!
 //! Runs the naive fixed-order exchange Π1 and the coin-tossed exchange Π2

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Corruption costs and the Theorem 6 duality: when corrupting parties
 //! costs the adversary something, utility-balanced protocols are exactly
 //! the ones that are ideally fair under the cheapest admissible price

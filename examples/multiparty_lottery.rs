@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! A multi-party workload: n parties jointly evaluate a function and care
 //! about fairness — modeled on a lottery where everyone contributes a
 //! ticket and the concatenated inputs decide the pot.

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! The Section 5 separation, live: the "leaky" protocol Π̃ passes the
 //! Gordon–Katz 1/2-security and privacy definitions yet leaks an honest
 //! input with probability 1/4 — and no F^{∧,$} simulator can hide it.

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Quickstart: measure how fair a protocol is.
 //!
 //! Builds the paper's optimally fair two-party protocol Π^Opt_2SFE for the

@@ -10,10 +10,8 @@ use fair_bench::run_experiment;
 const TRIALS: usize = 150;
 
 fn assert_experiment(id: &str, seed: u64) {
-    let reports = run_experiment(id, TRIALS, seed).expect("known experiment id");
-    for r in reports {
-        assert!(r.pass(), "{} failed:\n{}", r.id, r.render());
-    }
+    let r = run_experiment(id, TRIALS, seed).expect("known experiment id");
+    assert!(r.pass(), "{} failed:\n{}", r.id, r.render());
 }
 
 #[test]
