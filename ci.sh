@@ -7,7 +7,7 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy (deny warnings, all targets: lib, bins, tests, benches, examples)"
+echo "== cargo clippy (deny warnings, all targets: lib, bins, tests, examples)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== fairlint (strict + graph)"
@@ -30,6 +30,11 @@ grep -q '^digraph fairlint' target/fairlint/graph.dot
 
 echo "== cargo build --release (workspace: libs + reproduce/fair-trace/fair-serve/fair-load bins)"
 cargo build --release --workspace
+
+echo "== cargo build perfbench (the benchmark harness, its own workspace)"
+# perfbench is not a workspace member, so nothing above compiles it; this
+# catches a workspace API change that would break the harness.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== cargo test (every workspace member)"
 cargo test -q --workspace

@@ -8,7 +8,7 @@ use std::sync::mpsc::Sender;
 use std::time::Instant;
 
 use fair_core::progressive::Update;
-use fair_simlab::metrics;
+use fair_simlab::metrics::{self, fmt_ns};
 use fair_simlab::{AdaptiveSummary, ExpRecord, ReportRecord, SuiteRecord};
 
 /// Where per-experiment records are persisted, relative to the working
@@ -164,7 +164,15 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteRecord, String> {
         }
         let lat = record
             .latency
-            .map(|l| format!(", per-trial latency {l}"))
+            .map(|l| {
+                format!(
+                    ", per-trial latency min {} / p50 {} / p99 {} / max {}",
+                    fmt_ns(l.min),
+                    fmt_ns(l.p50),
+                    fmt_ns(l.p99),
+                    fmt_ns(l.max)
+                )
+            })
             .unwrap_or_default();
         if let Some(a) = record.adaptive {
             eprintln!(

@@ -49,4 +49,4 @@ pub mod utility;
 
 pub use event::{classify, truth_from_ledger, Event, HonestCriterion};
 pub use payoff::{Payoff, PayoffError};
-pub use utility::{best_of, estimate, run_once, run_once_traced, Scenario, Trial, UtilityEstimate};
+pub use utility::{best_of, estimate, run_once_traced, Scenario, Trial, UtilityEstimate};

@@ -172,18 +172,8 @@ impl core::fmt::Display for UtilityEstimate {
     }
 }
 
-/// Runs one trial of a scenario and returns the raw execution result plus
-/// the classified event.
-pub fn run_once<S: Scenario>(
-    scenario: &S,
-    payoff: &Payoff,
-    seed: u64,
-) -> (ExecutionResult, Event, f64) {
-    let (res, event, pay, _) = run_once_traced(scenario, payoff, seed);
-    (res, event, pay)
-}
-
-/// [`run_once`] with observability: when trace metrics or transcript
+/// Runs one trial of a scenario and returns the raw execution result, the
+/// classified event and its payoff. When trace metrics or transcript
 /// capture are armed (see `fair_trace::{metrics, capture}`) the trial runs
 /// through a recording tracer and returns its [`ExecStats`]; otherwise it
 /// takes the plain [`execute`] path, whose only extra cost is one relaxed

@@ -182,7 +182,7 @@ fn is_ident(c: u8) -> bool {
 
 /// D1 — determinism boundary: no wall clock, ambient entropy, or
 /// iteration-order-unstable containers in the listed crates' non-test
-/// code. Timing belongs in simlab/bench/criterion.
+/// code. Timing belongs in simlab/bench.
 fn check_d1(ws: &Workspace, f: &SourceFile, out: &mut Vec<Diagnostic>) {
     const TOKENS: &[(&str, &str)] = &[
         ("Instant::now", "wall-clock read"),

@@ -31,7 +31,7 @@ pub mod scheduler;
 pub mod seed;
 pub mod tomlish;
 
-pub use metrics::{BatchTimer, LatencySummary};
+pub use metrics::BatchTimer;
 pub use pool::{SubmitError, WorkerPool};
 pub use record::{
     proto_json, result_json, AdaptiveSummary, ExpRecord, ReportRecord, RowRecord, SuiteRecord,

@@ -3,11 +3,12 @@
 //!
 //! Collection is off by default so unit tests and library consumers pay
 //! nothing; the `reproduce` runner calls [`start`] and [`stop`] around each
-//! experiment and drains a [`LatencySummary`] in between. Latency samples
+//! experiment and drains a [`QuantileSummary`] in between. Latency samples
 //! are batched per tile so the mutex is touched once per ~64 trials, never
 //! per trial. The progress line is printed from that same tile-completion
 //! path, at most once every 2 s, so no thread is needed.
 
+use fair_trace::QuantileSummary;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -96,60 +97,6 @@ pub fn record_batch(latencies_ns: &[u64]) {
     }
 }
 
-/// Distribution summary of per-trial execution latency.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LatencySummary {
-    /// Number of trials measured.
-    pub count: usize,
-    /// Fastest trial, nanoseconds.
-    pub min_ns: u64,
-    /// Median trial, nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile trial, nanoseconds.
-    pub p99_ns: u64,
-    /// Slowest trial, nanoseconds.
-    pub max_ns: u64,
-}
-
-impl LatencySummary {
-    /// Summarizes a set of per-trial latencies (`None` when empty).
-    ///
-    /// Percentile indices come from `fair_trace::stats::percentile_index`
-    /// — exact integer arithmetic shared with the trace histograms. The
-    /// float formulation this replaces (`round((count − 1) as f64 * p)`)
-    /// mis-indexed exact-halfway cases: `0.99` is not representable in
-    /// binary, so `50 × 0.99` evaluated to `49.499…` and truncated the
-    /// p99 of a 51-sample batch to index 49 instead of 50.
-    pub fn from_samples(mut samples: Vec<u64>) -> Option<LatencySummary> {
-        use fair_trace::stats::{percentile_index, P50, P99};
-        if samples.is_empty() {
-            return None;
-        }
-        samples.sort_unstable();
-        let count = samples.len();
-        Some(LatencySummary {
-            count,
-            min_ns: samples[0],
-            p50_ns: samples[percentile_index(count, P50)],
-            p99_ns: samples[percentile_index(count, P99)],
-            max_ns: samples[count - 1],
-        })
-    }
-}
-
-impl core::fmt::Display for LatencySummary {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "min {} / p50 {} / p99 {} / max {}",
-            fmt_ns(self.min_ns),
-            fmt_ns(self.p50_ns),
-            fmt_ns(self.p99_ns),
-            fmt_ns(self.max_ns)
-        )
-    }
-}
-
 /// Renders a nanosecond count with an adaptive unit.
 pub fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
@@ -216,61 +163,16 @@ impl BatchTimer {
     }
 }
 
-/// Drains and summarizes the collected per-trial latencies.
-pub fn drain_latency() -> Option<LatencySummary> {
-    LatencySummary::from_samples(std::mem::take(&mut collector().samples))
+/// Drains and summarizes the collected per-trial latencies, in
+/// nanoseconds (`None` when no trial was timed).
+pub fn drain_latency() -> Option<QuantileSummary> {
+    let samples = std::mem::take(&mut collector().samples);
+    (!samples.is_empty()).then(|| QuantileSummary::from_samples(samples))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_percentiles_are_order_statistics() {
-        let s = LatencySummary::from_samples((1..=100).collect()).unwrap();
-        assert_eq!(s.count, 100);
-        assert_eq!(s.min_ns, 1);
-        assert_eq!(s.p50_ns, 51); // index round(99*0.5)=50 → value 51
-        assert_eq!(s.p99_ns, 99);
-        assert_eq!(s.max_ns, 100);
-        assert!(LatencySummary::from_samples(vec![]).is_none());
-    }
-
-    #[test]
-    fn summary_handles_tiny_batches_exactly() {
-        // 0 elements: no summary.
-        assert!(LatencySummary::from_samples(vec![]).is_none());
-        // 1 element: every statistic is that element.
-        let s1 = LatencySummary::from_samples(vec![42]).unwrap();
-        assert_eq!(
-            (s1.count, s1.min_ns, s1.p50_ns, s1.p99_ns, s1.max_ns),
-            (1, 42, 42, 42, 42)
-        );
-        // 2 elements: the halfway median index rounds up to the larger.
-        let s2 = LatencySummary::from_samples(vec![30, 10]).unwrap();
-        assert_eq!(
-            (s2.count, s2.min_ns, s2.p50_ns, s2.p99_ns, s2.max_ns),
-            (2, 10, 30, 30, 30)
-        );
-    }
-
-    #[test]
-    fn summary_of_one_tile_matches_order_statistics() {
-        // 64 samples — exactly one scheduler tile. Indices:
-        // round(63·0.5) = 32 (31.5 rounds up), round(63·0.99) = 62.
-        let s = LatencySummary::from_samples((1..=64).rev().collect()).unwrap();
-        assert_eq!(s.count, 64);
-        assert_eq!((s.min_ns, s.p50_ns, s.p99_ns, s.max_ns), (1, 33, 63, 64));
-    }
-
-    #[test]
-    fn halfway_percentile_indices_are_exact() {
-        // 51 samples: (51−1)·0.99 = 49.5 exactly → index 50. The float
-        // formula this pins against computed 49.499… and picked 49.
-        let s = LatencySummary::from_samples((1..=51).collect()).unwrap();
-        assert_eq!(s.p99_ns, 51);
-        assert_eq!(s.p50_ns, 26);
-    }
 
     #[test]
     fn fmt_ns_picks_sane_units() {

@@ -6,7 +6,6 @@
 //! prints.
 
 use crate::json::Json;
-use crate::metrics::LatencySummary;
 use fair_trace::{ProtoSummary, QuantileSummary};
 
 /// One measured row of an experiment table: a paper value against the
@@ -198,8 +197,9 @@ pub struct ExpRecord {
     pub jobs: usize,
     /// Wall-clock time of the whole experiment, milliseconds.
     pub wall_ms: f64,
-    /// Per-trial latency distribution (when metrics were collected).
-    pub latency: Option<LatencySummary>,
+    /// Per-trial latency distribution in nanoseconds (when metrics were
+    /// collected and at least one trial ran).
+    pub latency: Option<QuantileSummary>,
     /// Per-protocol trace metrics (rounds/messages/bytes/aborts per
     /// scenario), drained from `fair_trace::metrics`. Deterministic —
     /// bit-identical for any worker count — unlike the wall-clock
@@ -282,10 +282,10 @@ impl ExpRecord {
                 "trial_latency_ns",
                 Json::obj()
                     .field("count", Json::num(lat.count as f64))
-                    .field("min", Json::num(lat.min_ns as f64))
-                    .field("p50", Json::num(lat.p50_ns as f64))
-                    .field("p99", Json::num(lat.p99_ns as f64))
-                    .field("max", Json::num(lat.max_ns as f64)),
+                    .field("min", Json::num(lat.min as f64))
+                    .field("p50", Json::num(lat.p50 as f64))
+                    .field("p99", Json::num(lat.p99 as f64))
+                    .field("max", Json::num(lat.max as f64)),
             );
         }
         if !self.protocols.is_empty() {
@@ -402,12 +402,13 @@ mod tests {
             seed: 0xfa1e,
             jobs: 4,
             wall_ms: 12.3456,
-            latency: Some(LatencySummary {
+            latency: Some(QuantileSummary {
                 count: 100,
-                min_ns: 10,
-                p50_ns: 20,
-                p99_ns: 90,
-                max_ns: 95,
+                total: 2_500,
+                min: 10,
+                p50: 20,
+                p99: 90,
+                max: 95,
             }),
             protocols: vec![ProtoSummary {
                 name: "Π1/honest".into(),

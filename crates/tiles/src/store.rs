@@ -701,6 +701,55 @@ mod tests {
     }
 
     #[test]
+    fn crash_before_rename_leaves_an_ignored_temp_file() {
+        // A crash between `atomic_write`'s temp write and its rename leaves
+        // `.<name>.tmp.<pid>.<seq>` beside the last good group file.
+        let dir = scratch("crash");
+        let g = group("e4", 3);
+        let name = group_file_name(&g);
+        {
+            let store = Store::persistent(&dir);
+            store.put(g.clone(), key("r", 3, 0), tally(64, [64, 0, 0, 0]));
+            store.flush().expect("flush");
+        }
+        let tmp = dir.join(format!(".{name}.tmp.{}.7", std::process::id()));
+        std::fs::write(&tmp, b"half-written garbage").expect("write temp");
+
+        let warm = Store::persistent(&dir);
+        let summary = warm.load();
+        assert_eq!(
+            summary,
+            LoadSummary {
+                files: 1,
+                skipped_files: 0,
+                loaded_records: 1,
+                skipped_records: 0,
+            }
+        );
+        assert_eq!(
+            warm.get(&g, &key("r", 3, 0)),
+            Some(tally(64, [64, 0, 0, 0]))
+        );
+
+        // The store keeps working over the stale temp file.
+        warm.put(g.clone(), key("r", 3, 1), tally(64, [0, 64, 0, 0]));
+        assert_eq!(warm.flush().expect("reflush"), 1);
+        let reloaded = Store::persistent(&dir);
+        let summary = reloaded.load();
+        assert_eq!((summary.files, summary.skipped_files), (1, 0));
+        assert_eq!(summary.loaded_records, 2);
+        assert_eq!(
+            reloaded.get(&g, &key("r", 3, 0)),
+            Some(tally(64, [64, 0, 0, 0]))
+        );
+        assert_eq!(
+            reloaded.get(&g, &key("r", 3, 1)),
+            Some(tally(64, [0, 64, 0, 0]))
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn body_rejects_count_sum_mismatch() {
         let k = key("s", 1, 0);
         let mut t = tally(64, [10, 10, 10, 10]);
