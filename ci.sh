@@ -39,6 +39,11 @@ cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 echo "== cargo test (every workspace member)"
 cargo test -q --workspace
 
+echo "== cargo test --release fair-crypto (unsafe SHA-NI kernel, optimized codegen)"
+# The SHA-NI module is the crate's unsafe code: run its FIPS vectors and
+# portable-vs-accelerated differential under release codegen too.
+cargo test --release -q -p fair-crypto
+
 echo "== fair-trace selfcheck (record + replay + diff)"
 ./target/release/fair-trace record exp_coin_toss --trials 80 --sample 3 > /tmp/fair_trace_recorded.txt
 ./target/release/fair-trace replay exp_coin_toss --jobs 2

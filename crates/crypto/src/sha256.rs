@@ -2,8 +2,16 @@
 //!
 //! This is the workhorse hash for the whole workspace: commitments, HMAC,
 //! the counter-mode PRG, and Lamport signatures are all built on it. The
-//! implementation is a straightforward, allocation-free streaming compressor
-//! validated against the FIPS/NIST test vectors in the unit tests.
+//! implementation is an allocation-free streaming compressor validated
+//! against the FIPS/NIST test vectors in the unit tests. Each block is
+//! compressed with the x86_64 SHA extensions when the CPU has them (the
+//! private `shani` module, checked at run time) and by the portable rounds
+//! below otherwise; both give the same bits.
+
+use std::cell::Cell;
+
+#[allow(unsafe_code)]
+mod shani;
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -73,89 +81,112 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        let rest = blocks.remainder();
+        if !rest.is_empty() {
+            self.buf[..rest.len()].copy_from_slice(rest);
+            self.buf_len = rest.len();
         }
     }
 
     /// Finishes the hash and returns the digest, consuming the context.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80, pad with zeros, append 64-bit length.
-        self.update(&[0x80]);
-        // update() adjusted total_len; only padding content matters now.
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Append 0x80, zero-fill, and put the 64-bit length in the last 8
+        // bytes — of this block, or of one more if it does not fit.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf = [0; 64];
         }
-        self.total_len = 0; // stop counting; remaining bytes are the length field
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
-        let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
+        state_bytes(&self.state)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+fn state_bytes(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (i, w) in state.iter().enumerate() {
+        out[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
+    }
+    out
+}
+
+thread_local! {
+    static COMPRESSIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of 64-byte blocks this thread has compressed so far.
+///
+/// An exact, deterministic work counter: hashing `n` bytes costs
+/// `(n + 9).div_ceil(64)` blocks, so the difference across a call counts
+/// the SHA-256 work a layer did, independent of timing noise. It never
+/// feeds a protocol, an estimate or a result document.
+pub fn compressions() -> u64 {
+    COMPRESSIONS.with(Cell::get)
+}
+
+/// Compresses one block: the SHA extensions when the CPU has them, the
+/// portable rounds otherwise.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    COMPRESSIONS.with(|c| c.set(c.get() + 1));
+    if !shani::try_compress(state, block) {
+        compress_portable(state, block);
+    }
+}
+
+/// The FIPS 180-4 §6.2.2 compression function in portable Rust.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[4 * i],
+            block[4 * i + 1],
+            block[4 * i + 2],
+            block[4 * i + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -182,44 +213,114 @@ pub fn sha256_parts(parts: &[&[u8]]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(d: &Digest) -> String {
         d.iter().map(|b| format!("{:02x}", b)).collect()
     }
 
+    /// The portable compress under the original padding, which appended
+    /// one zero byte at a time: the reference both paths must match.
+    fn oracle(data: &[u8]) -> Digest {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in msg.chunks_exact(64) {
+            compress_portable(&mut state, block.try_into().unwrap());
+        }
+        state_bytes(&state)
+    }
+
+    /// Checks `data` against a FIPS 180-4 vector through the portable
+    /// compress and through the dispatching one (SHA-NI where present).
+    fn assert_vector(data: &[u8], expect: &str) {
+        assert_eq!(hex(&oracle(data)), expect, "portable compress");
+        assert_eq!(hex(&sha256(data)), expect, "dispatching compress");
+    }
+
     #[test]
     fn fips_vector_empty() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_vector(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn fips_vector_abc() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_vector(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn fips_vector_two_blocks() {
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn fips_vector_million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_vector(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
+    }
+
+    #[test]
+    fn compressions_count_blocks_including_padding() {
+        for (len, blocks) in [
+            (0, 1),
+            (55, 1),
+            (56, 2),
+            (63, 2),
+            (64, 2),
+            (119, 2),
+            (120, 3),
+        ] {
+            let before = compressions();
+            sha256(&vec![7u8; len]);
+            assert_eq!(compressions() - before, blocks, "len = {len}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_accelerated_compress_matches_portable(
+            state in proptest::collection::vec(any::<u32>(), 8..9),
+            block in proptest::collection::vec(any::<u8>(), 64..65),
+        ) {
+            let state: [u32; 8] = state.try_into().unwrap();
+            let block: [u8; 64] = block.try_into().unwrap();
+            let mut fast = state;
+            // No SHA-NI on this CPU: the dispatch never leaves the portable path.
+            if shani::try_compress(&mut fast, &block) {
+                let mut slow = state;
+                compress_portable(&mut slow, &block);
+                prop_assert_eq!(fast, slow);
+            }
+        }
+
+        #[test]
+        fn prop_one_copy_padding_matches_oracle(
+            edge in 0usize..5,
+            extra_blocks in 0usize..3,
+            seed: u8,
+        ) {
+            // Lengths on each padding edge: the 0x80 byte and the length
+            // field fit (55), spill the length (56, 63), or start a fresh
+            // block (64, 65).
+            let len = [55, 56, 63, 64, 65][edge] + 64 * extra_blocks;
+            let data: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+            prop_assert_eq!(sha256(&data), oracle(&data));
+        }
     }
 
     #[test]

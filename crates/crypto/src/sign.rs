@@ -13,7 +13,6 @@
 use rand::Rng;
 
 use crate::ct::{ct_eq_bytes, CtEq};
-use crate::prg::random_bytes;
 use crate::sha256::{sha256, sha256_parts, Digest, DIGEST_LEN};
 
 const BITS: usize = 256;
@@ -160,14 +159,14 @@ impl Signature {
 
 /// Generates a fresh one-time key pair.
 pub fn keygen<R: Rng + ?Sized>(rng: &mut R) -> (SigningKey, VerifyingKey) {
-    let mut secrets = Vec::with_capacity(BITS);
-    let mut hashes = Vec::with_capacity(BITS);
-    for _ in 0..BITS {
-        let s0: Digest = random_bytes(rng, 32).try_into().expect("32 bytes");
-        let s1: Digest = random_bytes(rng, 32).try_into().expect("32 bytes");
-        hashes.push([sha256(&s0), sha256(&s1)]);
-        secrets.push([s0, s1]);
-    }
+    // One draw for the whole 16 KiB table, in the order (bit 0: s0, s1),
+    // (bit 1: s0, s1), … — the same bytes 512 separate 32-byte draws give.
+    let mut secrets = vec![[[0u8; DIGEST_LEN]; 2]; BITS];
+    rng.fill_bytes(secrets.as_flattened_mut().as_flattened_mut());
+    let hashes = secrets
+        .iter()
+        .map(|[s0, s1]| [sha256(s0), sha256(s1)])
+        .collect();
     (SigningKey { secrets }, VerifyingKey { hashes })
 }
 
@@ -183,15 +182,11 @@ pub fn keygen_many<R: Rng + ?Sized>(n: usize, rng: &mut R) -> (Vec<SigningKey>, 
     (sks, vks)
 }
 
-fn message_bits(message: &[u8]) -> Vec<bool> {
+/// The bits of the domain-separated message hash, most significant first,
+/// as indices 0/1 into a key's preimage pairs.
+fn message_bits(message: &[u8]) -> impl Iterator<Item = usize> {
     let d = sha256_parts(&[b"fair-protocols/lamport", message]);
-    let mut bits = Vec::with_capacity(BITS);
-    for byte in d {
-        for i in 0..8 {
-            bits.push((byte >> (7 - i)) & 1 == 1);
-        }
-    }
-    bits
+    (0..BITS).map(move |i| usize::from((d[i / 8] >> (7 - i % 8)) & 1))
 }
 
 /// Signs `message` with the one-time key.
@@ -200,10 +195,11 @@ fn message_bits(message: &[u8]) -> Vec<bool> {
 /// this workspace sign exactly once per generated key, as the paper's
 /// functionality does.
 pub fn sign(key: &SigningKey, message: &[u8]) -> Signature {
-    let reveals = message_bits(message)
+    let reveals = key
+        .secrets
         .iter()
-        .enumerate()
-        .map(|(i, &b)| key.secrets[i][b as usize])
+        .zip(message_bits(message))
+        .map(|(pair, b)| pair[b])
         .collect();
     Signature { reveals }
 }
@@ -218,8 +214,13 @@ pub fn verify(key: &VerifyingKey, message: &[u8], signature: &Signature) -> bool
         return false;
     }
     let mut ok = true;
-    for (i, &b) in message_bits(message).iter().enumerate() {
-        ok &= ct_eq_bytes(&sha256(&signature.reveals[i]), &key.hashes[i][b as usize]);
+    for ((reveal, pair), b) in signature
+        .reveals
+        .iter()
+        .zip(&key.hashes)
+        .zip(message_bits(message))
+    {
+        ok &= ct_eq_bytes(&sha256(reveal), &pair[b]);
     }
     ok
 }
