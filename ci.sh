@@ -91,22 +91,20 @@ echo "== fair-serve smoke (ephemeral boot, fair-load --check, graceful shutdown)
 boot_server --workers 2 --loops 1 --metrics-out target/simlab/serve_metrics.json
 # --check fails on any request error or a cold cache (warm hit rate must be > 0).
 ./target/release/fair-load --addr "$ADDR" --exp e2 --trials 200 \
-  --clients 2 --points 4 --repeat 4 --out target/simlab/serve_load_smoke.json \
-  --bench-out target/simlab/serve_bench_smoke.json --check
+  --clients 2 --points 4 --repeat 4 --out target/simlab/serve_load_smoke.json --check
 # Keep-alive path: the same gate over persistent pipelined connections,
 # plus a conservative warm-throughput floor (release build on one core
 # sustains tens of thousands of rps; 5k catches an event-loop regression
 # without being flaky on slow CI hosts).
 ./target/release/fair-load --addr "$ADDR" --exp e2 --trials 200 \
   --connections 4 --pipeline 8 --points 4 --repeat 50 \
-  --out target/simlab/serve_load_keepalive_smoke.json \
-  --bench-out target/simlab/serve_bench_keepalive_smoke.json --check
+  --out target/simlab/serve_load_keepalive_smoke.json --check
 python3 - <<'EOF'
 import json
 with open("target/simlab/serve_load_keepalive_smoke.json") as fh:
     doc = json.load(fh)
 assert doc["mode"] == "persistent", doc["mode"]
-rps = doc["achieved_rps"]
+rps = doc["warm_rps"]
 assert rps >= 5000, f"keep-alive warm path too slow: {rps} rps < 5000 floor"
 print(f"keep-alive warm path: {rps} rps (floor 5000)")
 EOF
@@ -122,9 +120,8 @@ echo "== fair-serve sharded smoke (--loops 2, correctness-only gate)"
 SHARD_METRICS="$(mktemp)"
 boot_server --workers 2 --loops 2 --metrics-out "$SHARD_METRICS"
 ./target/release/fair-load --addr "$ADDR" --exp e2 --trials 200 \
-  --connections 4 --pipeline 4 --points 4 --repeat 8 --server-loops 2 \
-  --out target/simlab/serve_load_sharded_smoke.json \
-  --bench-out target/simlab/serve_bench_sharded_smoke.json --check
+  --connections 4 --pipeline 4 --points 4 --repeat 8 \
+  --out target/simlab/serve_load_sharded_smoke.json --check
 ./target/release/fair-load shutdown --addr "$ADDR"
 wait "$SERVE_PID"
 # The aggregated snapshot reports both loops.

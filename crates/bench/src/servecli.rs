@@ -13,15 +13,11 @@ use std::time::{Duration, Instant};
 
 use fair_serve::service::Backend;
 use fair_serve::{client, Conn, HttpReply, ProgressUpdate};
-use fair_simlab::json::{self, Json};
+use fair_simlab::json::Json;
 use fair_trace::QuantileSummary;
 
-/// Where `fair-load` persists its full run record.
+/// Where `fair-load` persists its run record by default.
 pub const LOAD_RECORD_PATH: &str = "target/simlab/serve_load.json";
-
-/// The repo-root serving benchmark record (rps + latency quantiles,
-/// cold vs warm), tracked across commits like `BENCH_reproduce.json`.
-pub const BENCH_SERVE_PATH: &str = "BENCH_serve.json";
 
 /// The real registry as a serve backend.
 pub struct ExperimentBackend;
@@ -116,32 +112,19 @@ pub struct LoadOptions {
     /// Trials per estimate.
     pub trials: usize,
     /// Persistent keep-alive connections for the warm phase. `0` keeps
-    /// the legacy mode: a fresh connection per request, `clients`
+    /// the one-shot mode: a fresh connection per request, `clients`
     /// threads. Nonzero switches the warm phase onto `connections`
     /// long-lived sockets.
     pub connections: usize,
     /// Requests pipelined per batch on each persistent connection
-    /// (ignored in the legacy mode; `1` = strict request/reply).
+    /// (ignored in the one-shot mode; `1` = strict request/reply).
     pub pipeline: usize,
-    /// Open-loop offered rate in requests/second across all connections.
-    /// `0.0` = closed loop (each client waits for its reply). Nonzero
-    /// sends on a fixed schedule regardless of reply latency, and
-    /// latency is measured from the *scheduled* send time, so queueing
-    /// delay under overload is not hidden (no coordinated omission).
-    pub rate: f64,
-    /// Event loops the *server* under test was started with (`--server-loops`).
-    /// `0` = unknown/not recorded. When set on an open-loop run, the
-    /// benchmark record's per-loop-count `scaling` curve gains this run's
-    /// offered-vs-achieved entry (see [`bench_serve_json`]).
-    pub server_loops: usize,
 }
 
 impl LoadOptions {
     /// The warm-phase mode this option set selects.
     pub fn mode(&self) -> &'static str {
-        if self.rate > 0.0 {
-            "openloop"
-        } else if self.connections > 0 {
+        if self.connections > 0 {
             "persistent"
         } else {
             "oneshot"
@@ -160,8 +143,6 @@ impl Default for LoadOptions {
             trials: 50,
             connections: 0,
             pipeline: 1,
-            rate: 0.0,
-            server_loops: 0,
         }
     }
 }
@@ -169,13 +150,11 @@ impl Default for LoadOptions {
 /// What a load run measured.
 #[derive(Clone, Debug)]
 pub struct LoadReport {
-    /// Which warm-phase mode ran (`oneshot`, `persistent`, `openloop`).
+    /// Which warm-phase mode ran (`oneshot` or `persistent`).
     pub mode: String,
     /// Latency quantiles of the cold phase (nanoseconds per request).
     pub cold_ns: QuantileSummary,
     /// Latency quantiles of the warm phase (nanoseconds per request).
-    /// In open-loop mode these are measured from each request's
-    /// *scheduled* send time.
     pub warm_ns: QuantileSummary,
     /// Requests that failed (transport error or non-200).
     pub errors: u64,
@@ -183,10 +162,8 @@ pub struct LoadReport {
     pub warm_hits: u64,
     /// Warm requests issued.
     pub warm_requests: u64,
-    /// Warm-phase achieved throughput, requests per second.
+    /// Warm-phase throughput, successful requests per second.
     pub warm_rps: f64,
-    /// Open-loop offered rate (`0.0` in closed-loop modes).
-    pub offered_rps: f64,
     /// Total requests issued across both phases.
     pub total_requests: u64,
 }
@@ -295,50 +272,6 @@ fn persistent_sweep(opts: &LoadOptions, target_for: &dyn Fn(usize) -> String) ->
     (samples, hits, errors)
 }
 
-/// Open-loop worker: sends on a fixed schedule over one persistent
-/// connection. When the server falls behind, sends are issued as soon as
-/// the connection frees up but latency still counts from the *scheduled*
-/// instant — the classic coordinated-omission correction, so the report
-/// shows the queueing delay an arrival-rate-faithful client would see.
-fn open_loop_sweep(
-    opts: &LoadOptions,
-    target_for: &dyn Fn(usize) -> String,
-    start: Instant,
-    interval: Duration,
-    phase: Duration,
-) -> WorkerTally {
-    let total = opts.repeat * opts.points;
-    let mut samples = Vec::with_capacity(total);
-    let mut hits = 0u64;
-    let mut errors = 0u64;
-    let Ok(mut conn) = Conn::connect(opts.addr, CONN_TIMEOUT) else {
-        return (samples, hits, total as u64);
-    };
-    for i in 0..total {
-        let scheduled = start + phase + interval.mul_f64(i as f64);
-        let now = Instant::now();
-        if scheduled > now {
-            std::thread::sleep(scheduled - now);
-        }
-        let target = target_for(i % opts.points);
-        if conn.send(&target).is_err() {
-            errors += (total - i) as u64;
-            return (samples, hits, errors);
-        }
-        match conn.recv() {
-            Ok(reply) => {
-                let ns = scheduled.elapsed().as_nanos() as u64;
-                tally_reply(Some(&reply), ns, &mut samples, &mut hits, &mut errors);
-            }
-            Err(_) => {
-                errors += (total - i) as u64;
-                return (samples, hits, errors);
-            }
-        }
-    }
-    (samples, hits, errors)
-}
-
 /// Drives the load: a sequential **cold phase** touching each point once
 /// (every request a miss on a fresh server), then a concurrent **warm
 /// phase** in the mode [`LoadOptions::mode`] selects:
@@ -347,8 +280,9 @@ fn open_loop_sweep(
 ///   closed loop (the next request waits for the previous reply).
 /// - `persistent` — `connections` keep-alive sockets, optionally
 ///   pipelined `pipeline`-deep, closed loop per batch.
-/// - `openloop` — `connections` keep-alive sockets offered a fixed
-///   aggregate `rate`; achieved vs offered rate is reported.
+///
+/// Open-loop measurement (a fixed offered rate, latency from the
+/// scheduled send) lives in perfbench's `serve_mixed` workload.
 pub fn run_load(opts: &LoadOptions) -> LoadReport {
     let target_for = |seed: usize| {
         format!(
@@ -372,27 +306,16 @@ pub fn run_load(opts: &LoadOptions) -> LoadReport {
         "oneshot" => opts.clients.max(1),
         _ => opts.connections.max(1),
     };
-    let interval = if opts.rate > 0.0 {
-        Duration::from_secs_f64(threads as f64 / opts.rate)
-    } else {
-        Duration::ZERO
-    };
 
     let warm_t0 = Instant::now();
     let per_client: Vec<WorkerTally> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|thread| {
+            .map(|_| {
                 let target_for = &target_for;
                 scope.spawn(move || {
                     let target_for = |seed: usize| target_for(seed);
                     match mode {
                         "persistent" => persistent_sweep(opts, &target_for),
-                        "openloop" => {
-                            // Stagger thread schedules so aggregate sends
-                            // spread evenly instead of arriving in bursts.
-                            let phase = interval.mul_f64(thread as f64 / threads as f64);
-                            open_loop_sweep(opts, &target_for, warm_t0, interval, phase)
-                        }
                         _ => oneshot_sweep(opts, &target_for),
                     }
                 })
@@ -423,7 +346,6 @@ pub fn run_load(opts: &LoadOptions) -> LoadReport {
         warm_hits,
         warm_requests,
         warm_rps: warm_ok as f64 / warm_wall_s,
-        offered_rps: opts.rate,
         total_requests: opts.points as u64 + warm_requests,
     }
 }
@@ -454,58 +376,11 @@ pub fn load_json(opts: &LoadOptions, report: &LoadReport) -> Json {
         .field("warm_requests", Json::num(report.warm_requests as f64))
         .field("warm_hits", Json::num(report.warm_hits as f64))
         .field("warm_hit_rate", Json::Num(report.warm_hit_rate()))
-        .field("offered_rps", Json::Num(round1(report.offered_rps)))
-        .field("achieved_rps", Json::Num(round1(report.warm_rps)))
         .field("warm_rps", Json::Num(round1(report.warm_rps)))
         .field("p50_speedup", Json::Num(round1(report.p50_speedup())))
-        .field("server_loops", Json::num(opts.server_loops as f64))
         .field("cold", quantile_fields(&report.cold_ns))
         .field("warm", quantile_fields(&report.warm_ns))
         .canonical()
-}
-
-/// One point of the per-loop-count scaling curve: how the achieved rate
-/// tracked the offered rate when the server ran `loops` event loops.
-fn scaling_entry(opts: &LoadOptions, report: &LoadReport) -> Json {
-    Json::obj()
-        .field("loops", Json::num(opts.server_loops as f64))
-        .field("offered_rps", Json::Num(round1(report.offered_rps)))
-        .field("achieved_rps", Json::Num(round1(report.warm_rps)))
-        .field("errors", Json::num(report.errors as f64))
-        .field("warm_p50_ns", Json::num(report.warm_ns.p50 as f64))
-        .field("warm_p99_ns", Json::num(report.warm_ns.p99 as f64))
-}
-
-/// The benchmark record (`BENCH_serve.json`): this run's load document,
-/// plus a `scaling` array accumulated *across* runs — one entry per
-/// server loop count, recording the open-loop offered-vs-achieved curve.
-///
-/// `previous` is the parsed prior record (if any): its `scaling` entries
-/// are always carried forward, so the headline run re-written last does
-/// not erase the curve. When this run was open-loop against a server with
-/// a known loop count (`--server-loops`), its entry replaces the one with
-/// the same `loops` value; entries stay sorted by `loops`.
-pub fn bench_serve_json(opts: &LoadOptions, report: &LoadReport, previous: Option<&Json>) -> Json {
-    let entry_loops = |entry: &Json| match json::get(entry, "loops") {
-        Some(Json::Num(n)) => *n,
-        _ => -1.0,
-    };
-    let mut scaling: Vec<Json> = match previous.and_then(|doc| json::get(doc, "scaling")) {
-        Some(Json::Arr(entries)) => entries.clone(),
-        _ => Vec::new(),
-    };
-    if opts.mode() == "openloop" && opts.server_loops > 0 {
-        let fresh = scaling_entry(opts, report);
-        scaling.retain(|entry| entry_loops(entry) != opts.server_loops as f64);
-        scaling.push(fresh);
-    }
-    scaling.sort_by(|a, b| entry_loops(a).total_cmp(&entry_loops(b)));
-    let doc = load_json(opts, report);
-    if scaling.is_empty() {
-        doc
-    } else {
-        doc.field("scaling", Json::Arr(scaling)).canonical()
-    }
 }
 
 fn round1(x: f64) -> f64 {
@@ -549,90 +424,42 @@ mod tests {
             warm_hits: 9,
             warm_requests: 10,
             warm_rps: 123.4,
-            offered_rps: 0.0,
             total_requests: 12,
         };
         assert!((report.warm_hit_rate() - 0.9).abs() < 1e-12);
         assert!((report.p50_speedup() - 20.0).abs() < 1e-12);
-        let doc = load_json(&LoadOptions::default(), &report).render();
+        let json = load_json(&LoadOptions::default(), &report);
+        let doc = json.render();
         assert!(doc.contains("\"warm_hit_rate\":0.9"));
         assert!(doc.contains("\"mode\":\"persistent\""));
-        assert!(doc.contains("\"achieved_rps\":123.4"));
-    }
-
-    #[test]
-    fn bench_record_accumulates_a_scaling_curve_across_runs() {
-        let report = |offered: f64, achieved: f64| LoadReport {
-            mode: "openloop".to_string(),
-            cold_ns: QuantileSummary::from_samples(vec![1000]),
-            warm_ns: QuantileSummary::from_samples(vec![100, 200]),
-            errors: 0,
-            warm_hits: 10,
-            warm_requests: 10,
-            warm_rps: achieved,
-            offered_rps: offered,
-            total_requests: 12,
+        assert!(doc.contains("\"warm_rps\":123.4"));
+        // `warm_rps` is the record's only throughput field.
+        let Json::Obj(fields) = json else {
+            panic!("the record is an object");
         };
-        let opts = |loops: usize| LoadOptions {
-            rate: 5000.0,
-            connections: 2,
-            server_loops: loops,
-            ..LoadOptions::default()
-        };
-
-        // Three open-loop runs at different loop counts, out of order:
-        // each upserts its own entry and carries the others forward.
-        let one = bench_serve_json(&opts(1), &report(5000.0, 4800.0), None);
-        let four = bench_serve_json(&opts(4), &report(5000.0, 4990.0), Some(&one));
-        let two = bench_serve_json(&opts(2), &report(5000.0, 4900.0), Some(&four));
-        let Some(Json::Arr(curve)) = json::get(&two, "scaling") else {
-            panic!("scaling array present");
-        };
-        let loops: Vec<f64> = curve
-            .iter()
-            .map(|e| match json::get(e, "loops") {
-                Some(Json::Num(n)) => *n,
-                _ => panic!("entry has loops"),
-            })
-            .collect();
-        assert_eq!(loops, vec![1.0, 2.0, 4.0], "entries sorted by loop count");
-
-        // Re-running a loop count replaces its entry instead of duplicating.
-        let again = bench_serve_json(&opts(2), &report(6000.0, 5500.0), Some(&two));
-        let Some(Json::Arr(curve)) = json::get(&again, "scaling") else {
-            panic!("scaling array present");
-        };
-        assert_eq!(curve.len(), 3);
-        let entry = curve
-            .iter()
-            .find(|e| json::get(e, "loops") == Some(&Json::Num(2.0)))
-            .expect("loops=2 entry");
-        assert_eq!(json::get(entry, "offered_rps"), Some(&Json::Num(6000.0)));
-
-        // A closed-loop headline run (no --server-loops) still carries the
-        // whole curve forward, adding nothing.
-        let headline = LoadOptions {
-            connections: 2,
-            ..LoadOptions::default()
-        };
-        let final_doc = bench_serve_json(&headline, &report(0.0, 7000.0), Some(&again));
-        let Some(Json::Arr(carried)) = json::get(&final_doc, "scaling") else {
-            panic!("scaling carried forward");
-        };
-        assert_eq!(carried.len(), 3);
-
-        // And with no history and no loop count, there is no scaling key.
-        let bare = bench_serve_json(&headline, &report(0.0, 7000.0), None);
-        assert!(json::get(&bare, "scaling").is_none());
-    }
-
-    #[test]
-    fn mode_selection_follows_rate_then_connections() {
-        let mut opts = LoadOptions::default();
-        assert_eq!(opts.mode(), "oneshot");
-        opts.connections = 4;
-        assert_eq!(opts.mode(), "persistent");
-        opts.rate = 1000.0;
-        assert_eq!(opts.mode(), "openloop");
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "clients",
+                "cold",
+                "connections",
+                "errors",
+                "exp",
+                "mode",
+                "p50_speedup",
+                "pipeline",
+                "points",
+                "repeat",
+                "suite",
+                "total_requests",
+                "trials",
+                "warm",
+                "warm_hit_rate",
+                "warm_hits",
+                "warm_requests",
+                "warm_rps",
+            ]
+        );
     }
 }

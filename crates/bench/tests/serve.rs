@@ -121,7 +121,7 @@ fn load_generator_measures_a_live_server() {
     let persistent = LoadOptions {
         connections: 2,
         pipeline: 3,
-        ..opts.clone()
+        ..opts
     };
     let report = run_load(&persistent);
     assert_eq!(report.mode, "persistent");
@@ -130,19 +130,6 @@ fn load_generator_measures_a_live_server() {
         report.warm_hits, report.warm_requests,
         "persistent warm phase all cached"
     );
-
-    // Open loop at a modest offered rate: every scheduled request is
-    // answered, and the achieved rate is positive.
-    let openloop = LoadOptions {
-        connections: 2,
-        rate: 200.0,
-        ..opts
-    };
-    let report = run_load(&openloop);
-    assert_eq!(report.mode, "openloop");
-    assert_eq!(report.errors, 0, "no request failed in open loop");
-    assert!(report.warm_rps > 0.0);
-    assert!((report.offered_rps - 200.0).abs() < 1e-9);
     stop(addr, handle);
 }
 

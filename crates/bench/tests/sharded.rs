@@ -120,7 +120,7 @@ fn pipelined_batch_ending_in_stream_detach_stays_in_order_when_sharded() {
 
     // The stream is last: its chunked frames and final result document
     // reach the socket only after the queued replies ahead of it.
-    let stream = conn.recv_chunked().expect("streamed tail reply");
+    let stream = conn.recv().expect("streamed tail reply");
     assert_eq!(stream.status, 200);
     assert_eq!(
         stream

@@ -69,11 +69,6 @@ pub struct ExecutionResult {
 }
 
 impl ExecutionResult {
-    /// Number of parties that ran honestly to the end.
-    pub fn honest_count(&self) -> usize {
-        self.outputs.len()
-    }
-
     /// Whether every honest party produced a non-⊥ output.
     pub fn all_honest_got_output(&self) -> bool {
         !self.outputs.is_empty() && self.outputs.values().all(|v| !v.is_bot())

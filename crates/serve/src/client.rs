@@ -2,16 +2,14 @@
 //! just enough for `fair-load`, CI smoke checks, and the e2e tests to
 //! talk to a `fair-serve` instance without any external dependency.
 //!
-//! Two modes:
-//! - One-shot ([`get`] / [`post`] / [`request`]): sends `Connection:
-//!   close`, so a reply is simply "everything until EOF" split at the
-//!   first blank line. Streaming replies (`/stream`) arrive with
-//!   `Transfer-Encoding: chunked`; the parser strips the chunk framing
-//!   so [`HttpReply::body`] is always the logical payload.
-//! - Persistent ([`Conn`]): keep-alive requests on one socket, including
-//!   pipelined batches ([`Conn::send_many`]); replies are framed by
-//!   `Content-Length` (or decoded incrementally by [`Conn::recv_chunked`]
-//!   for chunked streams) and leftover bytes carry over between reads.
+//! One reply reader: [`Conn::recv`] frames each reply from its head — by
+//! `Content-Length`, or through the incremental [`Dechunker`] when the
+//! reply is `Transfer-Encoding: chunked` (`/stream`) — and keeps any bytes
+//! past it for the next call. So one keep-alive socket carries pipelined
+//! batches ([`Conn::send_many`]) whatever their framing, and the one-shot
+//! helpers ([`get`] / [`post`] / [`request`]) are a single `Conn` exchange
+//! sent with `Connection: close`. [`HttpReply::body`] is always the
+//! logical payload, chunk framing stripped.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -53,33 +51,30 @@ pub fn post(addr: SocketAddr, target: &str) -> std::io::Result<HttpReply> {
     request(addr, "POST", target, Duration::from_secs(30))
 }
 
-/// Issues one request with an explicit socket timeout.
+/// Issues one `Connection: close` request with an explicit socket timeout.
 pub fn request(
     addr: SocketAddr,
     method: &str,
     target: &str,
     timeout: Duration,
 ) -> std::io::Result<HttpReply> {
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    stream.set_nodelay(true)?;
-    let head = format!("{method} {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream.write_all(head.as_bytes())?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_reply(&raw)
+    let mut conn = Conn::connect(addr, timeout)?;
+    let head = request_head(method, target, addr, true);
+    conn.stream.write_all(head.as_bytes())?;
+    conn.recv()
+}
+
+/// Serializes one body-less request head.
+fn request_head(method: &str, target: &str, addr: SocketAddr, close: bool) -> String {
+    let connection = if close { "Connection: close\r\n" } else { "" };
+    format!("{method} {target} HTTP/1.1\r\nHost: {addr}\r\n{connection}\r\n")
 }
 
 /// A persistent keep-alive connection to one server.
 ///
 /// Requests go out with `Connection: keep-alive` semantics (HTTP/1.1
-/// default); [`recv`](Conn::recv) frames each reply by its
-/// `Content-Length` header, so the socket stays usable for the next
-/// request. [`send_many`](Conn::send_many) writes a whole pipelined batch
-/// in one syscall; call `recv` once per request, in order — or
-/// [`recv_chunked`](Conn::recv_chunked) when the next reply is a
-/// `Transfer-Encoding: chunked` stream (`/stream`).
+/// default). [`send_many`](Conn::send_many) writes a whole pipelined batch
+/// in one syscall; call [`recv`](Conn::recv) once per request, in order.
 pub struct Conn {
     stream: TcpStream,
     addr: SocketAddr,
@@ -103,121 +98,95 @@ impl Conn {
 
     /// Sends one `GET <target>` without waiting for the reply.
     pub fn send(&mut self, target: &str) -> std::io::Result<()> {
-        let head = format!(
-            "GET {target} HTTP/1.1\r\nHost: {addr}\r\n\r\n",
-            addr = self.addr
-        );
-        self.stream.write_all(head.as_bytes())
+        self.send_many(&[target])
     }
 
     /// Pipelines a batch: every request head in one write. The server
     /// answers them in order; call [`recv`](Conn::recv) once per target.
     pub fn send_many(&mut self, targets: &[&str]) -> std::io::Result<()> {
-        let mut batch = String::new();
-        for target in targets {
-            batch.push_str(&format!(
-                "GET {target} HTTP/1.1\r\nHost: {addr}\r\n\r\n",
-                addr = self.addr
-            ));
-        }
+        let batch: String = targets
+            .iter()
+            .map(|target| request_head("GET", target, self.addr, false))
+            .collect();
         self.stream.write_all(batch.as_bytes())
     }
 
-    /// Reads exactly one `Content-Length`-framed reply, keeping any bytes
-    /// past it for the next call.
+    /// Reads exactly one reply, keeping any bytes past it for the next
+    /// call. The head decides the framing: a `Transfer-Encoding: chunked`
+    /// body ends at its terminal chunk (lenient on a mid-stream close:
+    /// every complete chunk received is returned); otherwise the body is
+    /// `Content-Length` bytes.
     pub fn recv(&mut self) -> std::io::Result<HttpReply> {
-        let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let head_end = loop {
-            if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
-            }
-            self.fill()?;
-        };
-        let (status, headers) = parse_reply_head(self.buf.get(..head_end).unwrap_or_default())?;
-        let content_length: usize = headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-            .and_then(|(_, v)| v.parse().ok())
-            .ok_or_else(|| bad("persistent reply lacks a Content-Length"))?;
-        let body_start = head_end + 4;
-        while self.buf.len() < body_start + content_length {
-            self.fill()?;
-        }
-        let body = self
-            .buf
-            .get(body_start..body_start + content_length)
-            .unwrap_or_default()
-            .to_vec();
-        self.buf.drain(..body_start + content_length);
-        Ok(HttpReply {
-            status,
-            headers,
-            body,
-        })
+        read_reply(&mut self.stream, &mut self.buf)
     }
+}
 
-    /// Reads exactly one `Transfer-Encoding: chunked` reply — the framing
-    /// `/stream` uses — decoding incrementally through a [`Dechunker`], so
-    /// the reply ends exactly at its terminal chunk rather than at EOF.
-    /// That makes it usable as the *last* reply of a pipelined batch:
-    /// earlier `Content-Length` replies are [`recv`](Conn::recv)'d first
-    /// and the stream's frames are consumed in order after them. Lenient
-    /// on a mid-stream close: every complete frame received is returned,
-    /// matching the one-shot [`request`] path.
-    pub fn recv_chunked(&mut self) -> std::io::Result<HttpReply> {
-        let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let head_end = loop {
-            if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
-            }
-            self.fill()?;
-        };
-        let (status, headers) = parse_reply_head(self.buf.get(..head_end).unwrap_or_default())?;
-        let chunked = headers.iter().any(|(k, v)| {
-            k.eq_ignore_ascii_case("transfer-encoding") && v.eq_ignore_ascii_case("chunked")
-        });
-        if !chunked {
-            return Err(bad("reply is not chunked; use recv for framed replies"));
+/// Reads one reply from `reader`, with `buf` holding bytes already read
+/// past the previous reply on entry and past this one on return.
+fn read_reply(reader: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Result<HttpReply> {
+    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
+    let head_end = loop {
+        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break pos;
         }
-        self.buf.drain(..head_end + 4);
+        fill(reader, buf)?;
+    };
+    let (status, headers) = parse_status_and_headers(buf.get(..head_end).unwrap_or_default())?;
+    buf.drain(..head_end + 4);
+    let header = |name: &str| {
+        headers
+            .iter()
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v.as_str())
+    };
+    let body = if header("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
         let mut decoder = Dechunker::new();
         let mut body = Vec::new();
         loop {
-            let consumed = decoder.push(&self.buf, &mut body);
-            self.buf.drain(..consumed);
+            let consumed = decoder.push(buf, &mut body);
+            buf.drain(..consumed);
             if decoder.done() {
                 break;
             }
-            match self.fill() {
+            match fill(reader, buf) {
                 Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
                 Err(e) => return Err(e),
             }
         }
-        Ok(HttpReply {
-            status,
-            headers,
-            body,
-        })
-    }
-
-    fn fill(&mut self) -> std::io::Result<()> {
-        let mut chunk = [0u8; 16 * 1024];
-        let n = self.stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-reply",
-            ));
+        body
+    } else {
+        let length: usize = header("content-length")
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| bad("reply has neither Content-Length nor chunked framing"))?;
+        while buf.len() < length {
+            fill(reader, buf)?;
         }
-        self.buf
-            .extend_from_slice(chunk.get(..n).unwrap_or_default());
-        Ok(())
+        buf.drain(..length).collect()
+    };
+    Ok(HttpReply {
+        status,
+        headers,
+        body,
+    })
+}
+
+/// Appends one read's worth of bytes to `buf`; EOF is an error.
+fn fill(reader: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Result<()> {
+    let mut chunk = [0u8; 16 * 1024];
+    let n = reader.read(&mut chunk)?;
+    if n == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "connection closed mid-reply",
+        ));
     }
+    buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
+    Ok(())
 }
 
 /// Parses a reply head (status line + headers, no terminator).
-fn parse_reply_head(head: &[u8]) -> std::io::Result<(u16, Vec<(String, String)>)> {
+fn parse_status_and_headers(head: &[u8]) -> std::io::Result<(u16, Vec<(String, String)>)> {
     let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
     let head = String::from_utf8_lossy(head);
     let mut lines = head.split("\r\n");
@@ -234,29 +203,6 @@ fn parse_reply_head(head: &[u8]) -> std::io::Result<(u16, Vec<(String, String)>)
         })
         .collect();
     Ok((status, headers))
-}
-
-fn parse_reply(raw: &[u8]) -> std::io::Result<HttpReply> {
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| bad("reply has no head terminator"))?;
-    let (status, headers) = parse_reply_head(raw.get(..head_end).unwrap_or_default())?;
-    let wire = raw.get(head_end + 4..).unwrap_or_default();
-    let chunked = headers.iter().any(|(k, v)| {
-        k.eq_ignore_ascii_case("transfer-encoding") && v.eq_ignore_ascii_case("chunked")
-    });
-    let body = if chunked {
-        dechunk(wire)
-    } else {
-        wire.to_vec()
-    };
-    Ok(HttpReply {
-        status,
-        headers,
-        body,
-    })
 }
 
 /// A size line (plus any chunk extensions) longer than this is treated as
@@ -285,8 +231,7 @@ enum ChunkState {
 /// every chunk that *completes* is appended to the caller's output. The
 /// decoder carries its state across feeds, so a size line torn at a read
 /// boundary (`"1a;ex"` now, `"t=1\r\n…"` later) or a payload spread over
-/// many reads decodes exactly as if the stream had arrived whole — the
-/// property the one-shot [`dechunk`] wrapper can never exercise on its own.
+/// many reads decodes exactly as if the stream had arrived whole.
 ///
 /// Lenient by design, like the rest of this client: chunk extensions after
 /// `;` are skipped, malformed framing ends decoding (keeping the decoded
@@ -426,27 +371,34 @@ impl Dechunker {
     }
 }
 
-/// Strips chunked-transfer framing: hex size line, payload, CRLF, repeated
-/// until the terminal zero-size chunk. Lenient on malformed framing — the
-/// decoded prefix is returned rather than an error, so a stream cut
-/// mid-chunk still yields every complete frame received. One-shot wrapper
-/// over the incremental [`Dechunker`].
-fn dechunk(wire: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(wire.len());
-    let mut decoder = Dechunker::new();
-    decoder.push(wire, &mut body);
-    body
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Reads every reply in `wire`, in order, the way [`Conn::recv`] does.
+    fn replies(wire: &[u8], count: usize) -> Vec<std::io::Result<HttpReply>> {
+        let mut reader = wire;
+        let mut buf = Vec::new();
+        (0..count)
+            .map(|_| read_reply(&mut reader, &mut buf))
+            .collect()
+    }
+
+    fn one(wire: &[u8]) -> std::io::Result<HttpReply> {
+        replies(wire, 1).remove(0)
+    }
+
+    fn dechunk(wire: &[u8]) -> Vec<u8> {
+        let mut body = Vec::new();
+        Dechunker::new().push(wire, &mut body);
+        body
+    }
+
     #[test]
     fn parses_a_full_reply() {
-        let raw =
-            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-Cache: hit\r\n\r\n{\"a\":1}\n";
-        let reply = parse_reply(raw).unwrap();
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-Cache: hit\r\n\
+                    Content-Length: 8\r\n\r\n{\"a\":1}\n";
+        let reply = one(raw).unwrap();
         assert_eq!(reply.status, 200);
         assert_eq!(reply.header("x-cache"), Some("hit"));
         assert_eq!(reply.text(), "{\"a\":1}\n");
@@ -454,8 +406,11 @@ mod tests {
 
     #[test]
     fn rejects_malformed_replies() {
-        assert!(parse_reply(b"not http").is_err());
-        assert!(parse_reply(b"HTTP/1.1 abc\r\n\r\n").is_err());
+        assert!(one(b"not http").is_err());
+        assert!(one(b"HTTP/1.1 abc\r\n\r\n").is_err());
+        // No framing at all, or a body cut short of its length.
+        assert!(one(b"HTTP/1.1 200 OK\r\n\r\nbody").is_err());
+        assert!(one(b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nshort").is_err());
     }
 
     #[test]
@@ -463,9 +418,34 @@ mod tests {
         let raw = b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
                     Transfer-Encoding: chunked\r\n\r\n\
                     b\r\n{\"a\":true}\n\r\n7\r\n{\"b\":1}\r\n0\r\n\r\n";
-        let reply = parse_reply(raw).unwrap();
+        let reply = one(raw).unwrap();
         assert_eq!(reply.status, 200);
         assert_eq!(reply.text(), "{\"a\":true}\n{\"b\":1}");
+    }
+
+    #[test]
+    fn frames_length_and_chunked_replies_on_one_wire() {
+        // Length-framed replies, then a stream, on one keep-alive wire:
+        // each reply ends exactly where its head says, and the carryover
+        // buffer positions the reader at the next one.
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\none\
+                     HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n\
+                     HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
+                     3\r\ntwo\r\n0\r\n\r\n\
+                     HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nthree";
+        let got: Vec<(u16, String)> = replies(wire, 4)
+            .into_iter()
+            .map(|r| r.map(|r| (r.status, r.text())).unwrap())
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (200, "one".to_string()),
+                (404, String::new()),
+                (200, "two".to_string()),
+                (200, "three".to_string()),
+            ]
+        );
     }
 
     #[test]
@@ -528,11 +508,11 @@ mod tests {
         // second one is dropped.
         let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
                     5\r\nhello\r\nff\r\ntorn";
-        let reply = parse_reply(raw).unwrap();
+        let reply = one(raw).unwrap();
         assert_eq!(reply.text(), "hello");
         // Garbage size line: decoded prefix only, no panic.
         let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
                     5\r\nhello\r\nzz\r\nx\r\n0\r\n\r\n";
-        assert_eq!(parse_reply(raw).unwrap().text(), "hello");
+        assert_eq!(one(raw).unwrap().text(), "hello");
     }
 }

@@ -62,6 +62,14 @@ const READ_BURSTS: usize = 4;
 const WRITEV_BATCH: usize = 32;
 /// How long the drain phase will block flushing one connection's tail.
 const DRAIN_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long a connection may sit mid-request-head (or before its first
+/// request) before the timer wheel closes it.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+/// Most parsed requests a connection may have awaiting serialization.
+/// At the cap the loop serializes the ready prefix before parsing more,
+/// and stops reading while the prefix is blocked behind pool work
+/// (pipelining backpressure).
+const MAX_PIPELINE: usize = 64;
 
 /// Slot generations travel in a token's high 32 bits, so only their low 32
 /// bits survive the trip through the poller and the timer wheel. Every pack
@@ -191,8 +199,9 @@ enum Pending {
 
 struct Conn {
     stream: TcpStream,
-    /// Unparsed request bytes (bounded: heads are capped and parsing
-    /// drains every complete head the pipeline cap admits).
+    /// Unparsed request bytes (bounded: heads are capped, and parsing
+    /// drains every complete head unless a pool job blocks the pipeline
+    /// at its cap).
     buf: Vec<u8>,
     pending: VecDeque<Pending>,
     out: VecDeque<OutBuf>,
@@ -205,6 +214,46 @@ struct Conn {
     /// Interest currently registered with the poller.
     registered: Interest,
     last_activity: Instant,
+}
+
+impl Conn {
+    /// Serializes the contiguous ready prefix of the pipeline into the
+    /// write queue (head bytes built here; bodies ride as-is, shared
+    /// cache bodies without a copy). A front `Busy` slot hands over the
+    /// bytes it has so far and blocks later slots until its job is done.
+    fn flush_ready(&mut self) {
+        loop {
+            match self.pending.front_mut() {
+                Some(Pending::Ready(..)) => {
+                    let Some(Pending::Ready(resp, keep_alive)) = self.pending.pop_front() else {
+                        break;
+                    };
+                    self.out.push_back(OutBuf {
+                        head: resp.head_bytes(keep_alive),
+                        head_pos: 0,
+                        body: resp.body,
+                        body_pos: 0,
+                    });
+                }
+                Some(Pending::Busy { bytes, done, .. }) => {
+                    let done = *done;
+                    if !bytes.is_empty() {
+                        self.out.push_back(OutBuf {
+                            head: std::mem::take(bytes),
+                            head_pos: 0,
+                            body: Body::Bytes(Vec::new()),
+                            body_pos: 0,
+                        });
+                    }
+                    if !done {
+                        break;
+                    }
+                    self.pending.pop_front();
+                }
+                None => break,
+            }
+        }
+    }
 }
 
 /// Wire bytes a job sent to its pipeline slot; `done` marks its last.
@@ -425,8 +474,7 @@ impl EventLoop {
         if let Some(slot) = self.conns.get_mut(idx) {
             *slot = Some(conn);
         }
-        self.wheel
-            .arm(now, self.config.read_timeout, token, gen_tag(gen));
+        self.wheel.arm(now, READ_TIMEOUT, token, gen_tag(gen));
     }
 
     // ---- per-connection event handling --------------------------------
@@ -455,8 +503,7 @@ impl EventLoop {
             }
             let mut chunk = [0u8; READ_CHUNK];
             for _ in 0..READ_BURSTS {
-                if conn.pending.len() >= self.config.max_pipeline || conn.buf.len() >= max_buffered
-                {
+                if conn.pending.len() >= MAX_PIPELINE || conn.buf.len() >= max_buffered {
                     break; // backpressure: stop pulling bytes
                 }
                 match conn.stream.read(&mut chunk) {
@@ -483,10 +530,11 @@ impl EventLoop {
         }
     }
 
-    /// Parses every complete buffered head the pipeline cap admits, routes
-    /// each, flushes ready responses to the write queue, writes, and
-    /// re-syncs poller interest. The workhorse — called after reads, after
-    /// completions, and after anything else that changes conn state.
+    /// Parses every complete buffered head (serializing the ready prefix
+    /// whenever the pipeline cap is reached), routes each, flushes ready
+    /// responses to the write queue, writes, and re-syncs poller interest.
+    /// The workhorse — called after reads, after completions, and after
+    /// anything else that changes conn state.
     fn conn_pump(&mut self, idx: usize) {
         let arrival = Instant::now();
         loop {
@@ -496,7 +544,13 @@ impl EventLoop {
                 let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                     return;
                 };
-                if conn.close_after_drain || conn.pending.len() >= self.config.max_pipeline {
+                if conn.pending.len() >= MAX_PIPELINE {
+                    // Free slots before parsing on: heads already in `buf`
+                    // get no readiness event of their own, so stopping
+                    // here would strand them until the read timeout.
+                    conn.flush_ready();
+                }
+                if conn.close_after_drain || conn.pending.len() >= MAX_PIPELINE {
                     None
                 } else {
                     match http::split_head(&conn.buf) {
@@ -561,7 +615,9 @@ impl EventLoop {
                 }
             }
         }
-        self.flush_ready(idx);
+        if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
+            conn.flush_ready();
+        }
         self.conn_write(idx);
         self.conn_maintain(idx);
     }
@@ -643,47 +699,6 @@ impl EventLoop {
         Pending::Ready(refused, keep_alive)
     }
 
-    /// Serializes the contiguous ready prefix of the pipeline into the
-    /// write queue (head bytes built here; bodies ride as-is, shared
-    /// cache bodies without a copy). A front `Busy` slot hands over the
-    /// bytes it has so far and blocks later slots until its job is done.
-    fn flush_ready(&mut self, idx: usize) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return;
-        };
-        loop {
-            match conn.pending.front_mut() {
-                Some(Pending::Ready(..)) => {
-                    let Some(Pending::Ready(resp, keep_alive)) = conn.pending.pop_front() else {
-                        break;
-                    };
-                    conn.out.push_back(OutBuf {
-                        head: resp.head_bytes(keep_alive),
-                        head_pos: 0,
-                        body: resp.body,
-                        body_pos: 0,
-                    });
-                }
-                Some(Pending::Busy { bytes, done, .. }) => {
-                    let done = *done;
-                    if !bytes.is_empty() {
-                        conn.out.push_back(OutBuf {
-                            head: std::mem::take(bytes),
-                            head_pos: 0,
-                            body: Body::Bytes(Vec::new()),
-                            body_pos: 0,
-                        });
-                    }
-                    if !done {
-                        break;
-                    }
-                    conn.pending.pop_front();
-                }
-                None => break,
-            }
-        }
-    }
-
     /// Writes as much queued output as the socket accepts, gathering up to
     /// [`WRITEV_BATCH`] responses per vectored write.
     fn conn_write(&mut self, idx: usize) {
@@ -738,7 +753,7 @@ impl EventLoop {
                 && (conn.close_after_drain || (conn.no_more_reads && conn.buf.is_empty()));
             let desired = Interest {
                 readable: !conn.no_more_reads
-                    && conn.pending.len() < self.config.max_pipeline
+                    && conn.pending.len() < MAX_PIPELINE
                     && conn.buf.len() < http::MAX_HEAD_BYTES.saturating_mul(2),
                 writable: !conn.out.is_empty(),
                 edge: false,
@@ -833,7 +848,7 @@ impl EventLoop {
                         // Unread output: the client stopped draining.
                         self.config.keepalive_timeout
                     } else if conn.parsed == 0 || !conn.buf.is_empty() {
-                        self.config.read_timeout
+                        READ_TIMEOUT
                     } else {
                         self.config.keepalive_timeout
                     };
@@ -881,10 +896,10 @@ impl EventLoop {
         self.barrier.wait();
         self.apply_completions();
         for idx in 0..self.conns.len() {
-            self.flush_ready(idx);
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                 continue;
             };
+            conn.flush_ready();
             if !conn.out.is_empty() {
                 let _ = conn.stream.set_nonblocking(false);
                 let _ = conn.stream.set_write_timeout(Some(DRAIN_WRITE_TIMEOUT));

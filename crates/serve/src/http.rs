@@ -5,10 +5,9 @@
 //! panicking — no `unwrap`/`expect`/`panic!`/slice indexing that can trip.
 //! Limits are enforced before allocation-heavy work: request heads are
 //! capped at [`MAX_HEAD_BYTES`], targets at [`MAX_TARGET_BYTES`], and
-//! header counts at [`MAX_HEADERS`]; oversized or truncated input fails
+//! header counts at [`MAX_HEADERS`]; oversized or malformed input fails
 //! fast with a typed error the server maps to `400`/`431`.
 
-use std::io::Read;
 use std::sync::Arc;
 
 /// Maximum bytes of request head (request line + headers) accepted.
@@ -21,8 +20,6 @@ pub const MAX_TARGET_BYTES: usize = 4096;
 /// Why a request could not be parsed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ParseError {
-    /// The stream ended before the blank line terminating the head.
-    Truncated,
     /// The head exceeded [`MAX_HEAD_BYTES`].
     HeadTooLarge,
     /// The request line was not `METHOD SP TARGET SP HTTP/1.x`.
@@ -33,20 +30,16 @@ pub enum ParseError {
     TooManyHeaders,
     /// A header line had no `:` separator.
     BadHeader,
-    /// Reading from the socket failed (timeout, reset).
-    Io(String),
 }
 
 impl core::fmt::Display for ParseError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            ParseError::Truncated => write!(f, "request head truncated"),
             ParseError::HeadTooLarge => write!(f, "request head exceeds {MAX_HEAD_BYTES} bytes"),
             ParseError::BadRequestLine => write!(f, "malformed request line"),
             ParseError::BadTarget => write!(f, "malformed request target"),
             ParseError::TooManyHeaders => write!(f, "more than {MAX_HEADERS} headers"),
             ParseError::BadHeader => write!(f, "malformed header line"),
-            ParseError::Io(e) => write!(f, "read error: {e}"),
         }
     }
 }
@@ -115,36 +108,6 @@ impl Request {
             .unwrap_or(false);
         length || self.header("transfer-encoding").is_some()
     }
-}
-
-/// Reads one request head from `stream` (up to the `\r\n\r\n` terminator,
-/// within [`MAX_HEAD_BYTES`]) and parses it. Any trailing body bytes are
-/// left unread — the connection is closed after one response.
-pub fn read_request(stream: &mut impl Read) -> Result<Request, ParseError> {
-    let mut head: Vec<u8> = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    loop {
-        if find_head_end(&head).is_some() {
-            break;
-        }
-        if head.len() >= MAX_HEAD_BYTES {
-            return Err(ParseError::HeadTooLarge);
-        }
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| ParseError::Io(e.to_string()))?;
-        if n == 0 {
-            return Err(ParseError::Truncated);
-        }
-        head.extend_from_slice(chunk.get(..n).unwrap_or_default());
-    }
-    let end = find_head_end(&head).ok_or(ParseError::Truncated)?;
-    parse_request(head.get(..end).unwrap_or_default())
-}
-
-/// Byte offset of the first `\r\n\r\n` (or lenient `\n\n`) terminator.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    split_head(buf).map(|(head_len, _)| head_len)
 }
 
 /// Locates the first complete request head in `buf`, returning
@@ -506,23 +469,6 @@ mod tests {
         assert_eq!(parse(&many), Err(ParseError::TooManyHeaders));
         let huge = vec![b'a'; MAX_HEAD_BYTES + 1];
         assert_eq!(parse_request(&huge), Err(ParseError::HeadTooLarge));
-    }
-
-    #[test]
-    fn read_request_stops_at_the_blank_line() {
-        let mut stream =
-            std::io::Cursor::new(b"GET /x?a=1 HTTP/1.1\r\nHost: h\r\n\r\nBODY".to_vec());
-        let req = read_request(&mut stream).unwrap();
-        assert_eq!(req.path, "/x");
-        assert_eq!(req.query_param("a"), Some("1"));
-    }
-
-    #[test]
-    fn read_request_errors_on_truncation_and_oversize() {
-        let mut truncated = std::io::Cursor::new(b"GET / HTTP/1.1\r\nHost".to_vec());
-        assert_eq!(read_request(&mut truncated), Err(ParseError::Truncated));
-        let mut huge = std::io::Cursor::new(vec![b'x'; MAX_HEAD_BYTES + 64]);
-        assert_eq!(read_request(&mut huge), Err(ParseError::HeadTooLarge));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! module owns what is *shared* across the `loops` event loops it starts:
 //! the listener group, the [`WorkerPool`] executing cold estimations, the
 //! shutdown latch, and the drain barrier the loops rendezvous on at the
-//! end. With `loops == 1` (the default, and the only sensible setting on a
-//! one-core host) the loop runs inline on the caller's thread and the
-//! server behaves exactly like its single-threaded predecessor.
+//! end. Loop 0 always runs inline on the caller's thread; with `loops ==
+//! 1` ([`ServerConfig`]'s default, and the only sensible setting on a
+//! one-core host) it is the whole server. The `fair-serve` binary
+//! defaults `--loops` to the host's available parallelism instead.
 //!
 //! Accept sharding is `SO_REUSEPORT` only: each loop binds its own
 //! listener on the same address and the kernel hashes flows across the
@@ -39,7 +40,7 @@ pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
     /// Event loops to run (accept-sharded). Clamped to at least 1; the
-    /// default of 1 keeps the single-threaded behavior.
+    /// default is 1, a single-threaded server.
     pub loops: usize,
     /// Worker threads executing cold estimations and streams (one pool,
     /// shared across all loops).
@@ -49,15 +50,9 @@ pub struct ServerConfig {
     /// Per-request deadline measured from arrival; a job that waited in
     /// the queue past it is answered `503` instead of being served late.
     pub deadline: Duration,
-    /// How long a connection may sit mid-request-head (or before its
-    /// first request) before the timer wheel closes it.
-    pub read_timeout: Duration,
     /// How long an idle keep-alive connection (no request in flight, no
     /// unread bytes) is retained before the timer wheel closes it.
     pub keepalive_timeout: Duration,
-    /// Maximum queued responses per connection before the loop stops
-    /// reading from it (pipelining backpressure).
-    pub max_pipeline: usize,
     /// Where to flush the final metrics snapshot on shutdown (optional).
     pub metrics_path: Option<PathBuf>,
     /// Directory for the persistent tile store. When set, `bind` installs
@@ -66,7 +61,7 @@ pub struct ServerConfig {
     /// computes and on shutdown — so estimates survive restarts. `None`
     /// (the default) leaves whatever store is already installed untouched.
     pub tiles_dir: Option<PathBuf>,
-    /// Service-layer tunables (defaults, caps, cache geometry).
+    /// Service-layer tunables (default trials, trial cap).
     pub service: ServiceConfig,
 }
 
@@ -78,9 +73,7 @@ impl Default for ServerConfig {
             workers: 4,
             queue_cap: 64,
             deadline: Duration::from_secs(30),
-            read_timeout: Duration::from_secs(5),
             keepalive_timeout: Duration::from_secs(10),
-            max_pipeline: 64,
             metrics_path: None,
             tiles_dir: None,
             service: ServiceConfig::default(),

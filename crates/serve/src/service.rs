@@ -79,12 +79,6 @@ pub struct ServiceConfig {
     /// Largest accepted `trials` value (admission control: one request
     /// cannot monopolize the worker pool with an unbounded run).
     pub max_trials: usize,
-    /// Seed when the request omits `seed`.
-    pub default_seed: u64,
-    /// Result-cache capacity in entries.
-    pub cache_entries: usize,
-    /// Result-cache shard count.
-    pub cache_shards: usize,
 }
 
 impl Default for ServiceConfig {
@@ -92,12 +86,16 @@ impl Default for ServiceConfig {
         ServiceConfig {
             default_trials: 200,
             max_trials: 100_000,
-            default_seed: 0xfa1e,
-            cache_entries: 128,
-            cache_shards: 8,
         }
     }
 }
+
+/// Seed when the request omits `seed`.
+pub(crate) const DEFAULT_SEED: u64 = 0xfa1e;
+/// Result-cache capacity in entries.
+const CACHE_ENTRIES: usize = 128;
+/// Result-cache shard count.
+const CACHE_SHARDS: usize = 8;
 
 /// The service's verdict on one parsed request, split for the event loop:
 /// cheap routes, errors, and warm cache hits produce a [`Response`] right
@@ -157,7 +155,7 @@ impl Service {
             .collect();
         Service {
             backend,
-            cache: ShardedCache::new(config.cache_entries, config.cache_shards),
+            cache: ShardedCache::new(CACHE_ENTRIES, CACHE_SHARDS),
             config,
             known,
             stats: Arc::new(ServerStats::default()),
@@ -272,7 +270,7 @@ impl Service {
             })
             .collect();
         let doc = Json::obj()
-            .field("default_seed", Json::num(self.config.default_seed as f64))
+            .field("default_seed", Json::num(DEFAULT_SEED as f64))
             .field(
                 "default_trials",
                 Json::num(self.config.default_trials as f64),
@@ -302,7 +300,7 @@ impl Service {
             Ok(t) => t,
             Err(resp) => return Verdict::Reply(self.counted(resp)),
         };
-        let seed = match parse_seed(req, self.config.default_seed) {
+        let seed = match parse_seed(req, DEFAULT_SEED) {
             Ok(s) => s,
             Err(resp) => return Verdict::Reply(self.counted(resp)),
         };

@@ -26,7 +26,7 @@ use std::io::Write;
 use fair_simlab::json::Json;
 
 use crate::http::{Request, Response};
-use crate::service::{parse_seed, parse_trials, ProgressUpdate, Service};
+use crate::service::{parse_seed, parse_trials, ProgressUpdate, Service, DEFAULT_SEED};
 use crate::stats::ServerStats;
 
 /// Handles one `/stream` request end to end on `conn` (the connection
@@ -67,7 +67,7 @@ fn validate(service: &Service, req: &Request) -> Result<StreamParams, Response> 
     };
     let config = service.config();
     let trials = parse_trials(req, config.default_trials, config.max_trials)?;
-    let seed = parse_seed(req, config.default_seed)?;
+    let seed = parse_seed(req, DEFAULT_SEED)?;
     let epsilon = match req.query_param("epsilon") {
         None => 0.0,
         Some(raw) => match raw.parse::<f64>() {

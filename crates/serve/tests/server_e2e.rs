@@ -278,6 +278,36 @@ fn pipelined_requests_answer_in_order_with_identical_bytes() {
 }
 
 #[test]
+fn pipelined_batch_past_the_pipeline_cap_is_answered_in_full() {
+    // More requests in one write than the per-connection pipeline cap
+    // (64): the heads past the cap are already buffered server-side, so
+    // no further readiness event announces them. Every one must still be
+    // answered, in order, well before the 5 s read timeout.
+    let (addr, handle, _latch) = boot(Arc::new(MockBackend::instant()), ServerConfig::default());
+    let points = 5;
+    for seed in 0..points {
+        let warm = client::get(addr, &format!("/estimate?exp=e1&trials=50&seed={seed}"));
+        assert_eq!(warm.expect("warmup").status, 200);
+    }
+    let targets: Vec<String> = (0..100)
+        .map(|i| format!("/estimate?exp=e1&trials=50&seed={}", i % points))
+        .collect();
+    let mut conn = Conn::connect(addr, Duration::from_secs(2)).expect("connect");
+    let batch: Vec<&str> = targets.iter().map(String::as_str).collect();
+    conn.send_many(&batch).expect("one pipelined write");
+    for i in 0..targets.len() {
+        let reply = conn
+            .recv()
+            .unwrap_or_else(|e| panic!("reply {i} of {}: {e}", targets.len()));
+        assert_eq!(reply.status, 200, "reply {i}");
+        assert_eq!(reply.header("x-cache"), Some("hit"), "reply {i} warm");
+        let seed = format!("\"seed\":{},", i % points);
+        assert!(reply.text().contains(&seed), "reply {i} in order");
+    }
+    shutdown(addr, handle);
+}
+
+#[test]
 fn overload_is_answered_with_bounded_429s() {
     // One worker, one queue slot, slow estimations: blasting N distinct
     // points must produce some 429s, and every connection gets answered.

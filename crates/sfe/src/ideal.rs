@@ -23,9 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fair_runtime::wire::{WireLen, TAG};
-use fair_runtime::{
-    Destination, Endpoint, Envelope, FuncCtx, Functionality, OutMsg, PartyId, Value,
-};
+use fair_runtime::{Endpoint, Envelope, FuncCtx, Functionality, OutMsg, PartyId, Value};
 use rand::rngs::StdRng;
 
 use crate::spec::IdealSpec;
@@ -415,14 +413,6 @@ impl Functionality<RandMsg> for RandAbortSfe {
             }
         }
         out
-    }
-}
-
-/// Convenience: sends an input message for party `pid` to functionality 0.
-pub fn input_msg(v: Value) -> OutMsg<SfeMsg> {
-    OutMsg {
-        to: Destination::Func(fair_runtime::FuncId(0)),
-        msg: SfeMsg::Input(v),
     }
 }
 
