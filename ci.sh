@@ -66,7 +66,7 @@ grep -q 'broken.toml:1: error:' "$BAD_DIR/err.txt"
 rm -rf "$BAD_DIR"
 
 echo "== reproduce smoke run (parallel, JSON records)"
-FAIR_TRIALS=100 ./target/release/reproduce --jobs 2 --trace --json target/simlab/reproduce_smoke.json e1 e4 e13 s_deposit_coin
+FAIR_TRIALS=100 ./target/release/reproduce --jobs 2 --trace --json target/simlab/reproduce_smoke.json e1 e4 e8 e13 e16 s_deposit_coin
 
 # Starts fair-serve on an ephemeral port with the given flags and waits
 # for its ADDR= line; sets SERVE_PID and ADDR, or fails the gate.

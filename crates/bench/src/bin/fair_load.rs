@@ -31,7 +31,10 @@
 //! served from the cache (threads = `--clients` in one-shot mode,
 //! `--connections` otherwise). Both phases are closed loop. The record
 //! carries `warm_rps` and cold/warm latency quantiles; `p50_speedup` is
-//! the cold-vs-warm median ratio. Open-loop measurement (a fixed offered
+//! the cold-vs-warm median ratio. `cold_tile_hits` counts the tiles the
+//! server's store served during the cold phase (`null` without a store);
+//! above 0 the cold phase reused an earlier run's tiles, and a warning
+//! says so on stderr. Open-loop measurement (a fixed offered
 //! rate, latency from the scheduled send) is perfbench's `serve_mixed`
 //! workload: `python3 perfbench/run.py --workload serve_mixed`.
 

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use fair_serve::service::Backend;
 use fair_serve::{client, Conn, HttpReply, ProgressUpdate};
-use fair_simlab::json::Json;
+use fair_simlab::json::{self, Json};
 use fair_trace::QuantileSummary;
 
 /// Where `fair-load` persists its run record by default.
@@ -154,6 +154,10 @@ pub struct LoadReport {
     pub mode: String,
     /// Latency quantiles of the cold phase (nanoseconds per request).
     pub cold_ns: QuantileSummary,
+    /// Tile-store hits the server counted during the cold phase (`None`
+    /// when it runs without a tile store). Above 0, the cold phase reused
+    /// tiles an earlier run left on disk and was not cold.
+    pub cold_tile_hits: Option<u64>,
     /// Latency quantiles of the warm phase (nanoseconds per request).
     pub warm_ns: QuantileSummary,
     /// Requests that failed (transport error or non-200).
@@ -185,6 +189,17 @@ impl LoadReport {
         } else {
             self.cold_ns.p50 as f64 / self.warm_ns.p50 as f64
         }
+    }
+}
+
+/// The server's `/metrics` `tiles.hits` counter, or `None` when it runs
+/// without a tile store (or the document cannot be read).
+fn tile_hits(addr: SocketAddr) -> Option<u64> {
+    let reply = client::get(addr, "/metrics").ok()?;
+    let doc = json::parse(std::str::from_utf8(&reply.body).ok()?).ok()?;
+    match json::get(json::get(&doc, "tiles")?, "hits")? {
+        Json::Num(hits) => Some(*hits as u64),
+        _ => None,
     }
 }
 
@@ -274,7 +289,9 @@ fn persistent_sweep(opts: &LoadOptions, target_for: &dyn Fn(usize) -> String) ->
 
 /// Drives the load: a sequential **cold phase** touching each point once
 /// (every request a miss on a fresh server), then a concurrent **warm
-/// phase** in the mode [`LoadOptions::mode`] selects:
+/// phase** in the mode [`LoadOptions::mode`] selects. The server's tile
+/// hits across the cold phase land in [`LoadReport::cold_tile_hits`],
+/// with a warning on stderr when there were any:
 ///
 /// - `oneshot` — `clients` threads, fresh connection per request,
 ///   closed loop (the next request waits for the previous reply).
@@ -293,12 +310,21 @@ pub fn run_load(opts: &LoadOptions) -> LoadReport {
 
     let mut errors = 0u64;
     let mut cold_samples = Vec::with_capacity(opts.points);
+    let hits_before = tile_hits(opts.addr);
     for seed in 0..opts.points {
         let (ns, reply) = timed_get(opts.addr, &target_for(seed));
         match reply {
             Some(r) if r.status == 200 => cold_samples.push(ns),
             _ => errors += 1,
         }
+    }
+    let cold_tile_hits =
+        hits_before.and_then(|before| Some(tile_hits(opts.addr)?.saturating_sub(before)));
+    if let Some(hits) = cold_tile_hits.filter(|&h| h > 0) {
+        eprintln!(
+            "warning: the cold phase reused {hits} stored tiles; its latencies are not cold \
+             (point fair-serve at an empty --tiles-dir or pass --no-tiles)"
+        );
     }
 
     let mode = opts.mode();
@@ -341,6 +367,7 @@ pub fn run_load(opts: &LoadOptions) -> LoadReport {
     LoadReport {
         mode: mode.to_string(),
         cold_ns: QuantileSummary::from_samples(cold_samples),
+        cold_tile_hits,
         warm_ns: QuantileSummary::from_samples(warm_samples),
         errors,
         warm_hits,
@@ -379,6 +406,12 @@ pub fn load_json(opts: &LoadOptions, report: &LoadReport) -> Json {
         .field("warm_rps", Json::Num(round1(report.warm_rps)))
         .field("p50_speedup", Json::Num(round1(report.p50_speedup())))
         .field("cold", quantile_fields(&report.cold_ns))
+        .field(
+            "cold_tile_hits",
+            report
+                .cold_tile_hits
+                .map_or(Json::Null, |h| Json::num(h as f64)),
+        )
         .field("warm", quantile_fields(&report.warm_ns))
         .canonical()
 }
@@ -419,6 +452,7 @@ mod tests {
         let report = LoadReport {
             mode: "persistent".to_string(),
             cold_ns: QuantileSummary::from_samples(vec![1000, 2000]),
+            cold_tile_hits: Some(3),
             warm_ns: QuantileSummary::from_samples(vec![100]),
             errors: 0,
             warm_hits: 9,
@@ -433,6 +467,13 @@ mod tests {
         assert!(doc.contains("\"warm_hit_rate\":0.9"));
         assert!(doc.contains("\"mode\":\"persistent\""));
         assert!(doc.contains("\"warm_rps\":123.4"));
+        assert!(doc.contains("\"cold_tile_hits\":3"));
+        let no_store = LoadReport {
+            cold_tile_hits: None,
+            ..report.clone()
+        };
+        let doc = load_json(&LoadOptions::default(), &no_store).render();
+        assert!(doc.contains("\"cold_tile_hits\":null"));
         // `warm_rps` is the record's only throughput field.
         let Json::Obj(fields) = json else {
             panic!("the record is an object");
@@ -443,6 +484,7 @@ mod tests {
             [
                 "clients",
                 "cold",
+                "cold_tile_hits",
                 "connections",
                 "errors",
                 "exp",

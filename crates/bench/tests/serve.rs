@@ -106,6 +106,7 @@ fn load_generator_measures_a_live_server() {
     assert_eq!(report.mode, "oneshot");
     assert_eq!(report.errors, 0, "no request failed");
     assert_eq!(report.total_requests, 3 + 2 * 2 * 3);
+    assert_eq!(report.cold_tile_hits, None, "no tile store installed");
     assert_eq!(
         report.warm_hits, report.warm_requests,
         "warm phase all cached"

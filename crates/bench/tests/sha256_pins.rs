@@ -1,6 +1,7 @@
 //! Absolute pins for the crypto layer: exact SHA-256 compression counts
 //! (64-byte blocks, from `fair_crypto::sha256::compressions`) of Lamport
-//! signatures and of one fixed-seed contract-signing trial.
+//! signatures, of one fixed-seed contract-signing trial and of one
+//! fixed-seed Π^{1/2}_GMW trial.
 //!
 //! Timings of the hash move with the CPU and its load; these counts move
 //! only when a protocol hashes more or fewer blocks, so a regression in the
@@ -11,7 +12,7 @@ use fair_bench::runner::BASE_SEED;
 use fair_core::Scenario;
 use fair_crypto::sha256::compressions;
 use fair_crypto::sign;
-use fair_protocols::scenarios::{ContractScenario, Strategy};
+use fair_protocols::scenarios::{gmw_half_sweep, ContractScenario, Strategy};
 use fair_runtime::execute;
 use fair_simlab::trial_seed;
 use rand::rngs::StdRng;
@@ -24,11 +25,33 @@ fn blocks<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (compressions() - before, out)
 }
 
+/// Blocks one SHA-256 of `n` bytes compresses.
+fn hash_blocks(n: u64) -> u64 {
+    (n + 9).div_ceil(64)
+}
+
 /// Blocks of the domain-separated message hash sign and verify start
 /// with: `sha256_parts(["fair-protocols/lamport", message])` frames the
 /// two parts with three 8-byte lengths, so it hashes 46 + |message| bytes.
 fn message_hash_blocks(message: &[u8]) -> u64 {
-    (46 + message.len() as u64 + 9).div_ceil(64)
+    hash_blocks(46 + message.len() as u64)
+}
+
+/// Compressions of building and running trial `t` of `scenario` the way
+/// the estimator does.
+fn trial_blocks<S: Scenario>(scenario: &S, t: u64) -> u64 {
+    let mut rng = StdRng::seed_from_u64(trial_seed(BASE_SEED, t));
+    let (n, _) = blocks(|| {
+        let mut trial = scenario.build(&mut rng);
+        execute(
+            trial.instance,
+            trial.adversary.as_mut(),
+            &mut rng,
+            trial.max_rounds,
+        )
+        .expect("scenario builds a well-formed instance")
+    });
+    n
 }
 
 #[test]
@@ -54,17 +77,7 @@ fn pi1_trial_block_count_is_pinned() {
         pi2: false,
         strategy: Strategy::NoCorruption,
     };
-    let mut rng = StdRng::seed_from_u64(trial_seed(BASE_SEED, 0));
-    let (n, _) = blocks(|| {
-        let mut trial = scenario.build(&mut rng);
-        execute(
-            trial.instance,
-            trial.adversary.as_mut(),
-            &mut rng,
-            trial.max_rounds,
-        )
-        .expect("scenario builds a well-formed instance")
-    });
+    let n = trial_blocks(&scenario, 0);
     // "the contract" (12 bytes) hashes to 2 blocks for sign/verify. Each
     // party commits to its 8 217-byte signed contract (randomness, message
     // and three length frames: 8 273 bytes, 130 blocks) and, unused in Π1,
@@ -79,4 +92,29 @@ fn pi1_trial_block_count_is_pinned() {
     let execute = 2 * (commit + 256 + msg_hash);
     assert_eq!(n, keygen + build + execute);
     assert_eq!(n, 2_072);
+}
+
+#[test]
+fn gmw_half_trial_block_count_is_pinned() {
+    // GMW-1/2(5, 2) with the 2-coalition that withholds its shares.
+    let n = trial_blocks(&gmw_half_sweep(5, 2).remove(0), 0);
+    // A share commitment hashes the 32-byte randomness and the 30-byte
+    // share payload ("gmw-half-share", index, value) behind three 8-byte
+    // length frames: 86 bytes, 2 blocks. Verifying an opening rehashes it.
+    let commit = hash_blocks(8 + 8 + 32 + 8 + 30);
+    assert_eq!(commit, 2);
+    // The 94-byte ciphertext's pad is three HMAC-SHA256 blocks keyed by
+    // the 8-byte key; each HMAC hashes ipad + 8-byte counter, then
+    // opad + 32-byte inner digest.
+    let pad = 3 * (hash_blocks(64 + 8) + hash_blocks(64 + 32));
+    assert_eq!(pad, 12);
+    // The functionality commits to all five shares and pads once. Each of
+    // the three honest parties checks its own share and the three honest
+    // broadcasts (its own arrives back), then decrypts; the coalition
+    // decrypts once from its own two shares and the three it rushed.
+    let dealer = 5 * commit + pad;
+    let honest = 3 * (4 * commit + pad);
+    let coalition = pad;
+    assert_eq!(n, dealer + honest + coalition);
+    assert_eq!(n, 94);
 }

@@ -70,19 +70,19 @@ fn gmw_half_counts_are_pinned() {
     let s = stats(&gmw_half_5_2(), 0);
     // Five inputs to the phase-1 functionality (tag + SfeMsg tag + Scalar);
     // five outputs, each a tuple of the 94-byte ciphertext, the key-share
-    // index and value, an 8 192-byte signature and five 16 384-byte
-    // verifying keys; then the three honest parties broadcast their signed
-    // key shares while the 2-coalition withholds its own.
+    // index and value, the 32-byte opening randomness and the five 32-byte
+    // share commitments; then the three honest parties broadcast their
+    // opened key shares (index, value, randomness) while the 2-coalition
+    // withholds its own.
     let input = 1 + 1 + 9;
-    let output =
-        1 + 1 + (1 + 4) + (1 + 4 + 94) + 9 + 9 + (1 + 4 + 8_192) + (1 + 4 + 5 * (1 + 4 + 16_384));
-    let key_share = 1 + 8 + 8 + 4 + 8_192;
+    let output = 1 + 1 + (1 + 4) + (1 + 4 + 94) + 9 + 9 + (1 + 4 + 32) + (1 + 4 + 5 * (1 + 4 + 32));
+    let key_share = 1 + 8 + 8 + 4 + 32;
     assert_eq!(s.corruptions, 2);
     assert_eq!(
         (s.msgs, s.bytes),
         (13, 5 * input + 5 * output + 3 * key_share)
     );
-    assert_eq!(s.bytes, 476_049);
+    assert_eq!(s.bytes, 1_969);
 }
 
 #[test]

@@ -170,18 +170,6 @@ pub fn keygen<R: Rng + ?Sized>(rng: &mut R) -> (SigningKey, VerifyingKey) {
     (SigningKey { secrets }, VerifyingKey { hashes })
 }
 
-/// Generates `n` independent one-time key pairs (a per-party PKI setup).
-pub fn keygen_many<R: Rng + ?Sized>(n: usize, rng: &mut R) -> (Vec<SigningKey>, Vec<VerifyingKey>) {
-    let mut sks = Vec::with_capacity(n);
-    let mut vks = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (sk, vk) = keygen(rng);
-        sks.push(sk);
-        vks.push(vk);
-    }
-    (sks, vks)
-}
-
 /// The bits of the domain-separated message hash, most significant first,
 /// as indices 0/1 into a key's preimage pairs.
 fn message_bits(message: &[u8]) -> impl Iterator<Item = usize> {

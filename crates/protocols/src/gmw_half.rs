@@ -6,17 +6,21 @@
 //! *not* utility-balanced for even n.
 //!
 //! Implementation: the phase-1 hybrid hands every party the output
-//! encrypted under a one-time key k, a Shamir (⌊n/2⌋+1)-of-n share of k,
-//! and a signature on that share (so injected bogus shares are detected).
-//! Phase 2 broadcasts all shares in a single simultaneous round; with a
-//! strict majority of valid shares everyone recovers k and decrypts. A
-//! rushing coalition of t ≥ n/2 reads the honest shares before releasing
-//! its own and withholds them — it learns y while the remaining ⌊n/2⌋
-//! honest parties stay below the threshold (see [`HalfCoalition`]).
+//! encrypted under a one-time key k, a Shamir (⌊n/2⌋+1)-of-n share of k
+//! with the opening randomness of a hash commitment to it, and the same
+//! list of all n share commitments. Phase 2 broadcasts every share with
+//! its opening in a single simultaneous round; a share counts only if it
+//! opens the commitment published for its index, so injected bogus shares
+//! are detected, and every honest party agrees on which shares are valid.
+//! With a strict majority of valid shares everyone recovers k and
+//! decrypts. A rushing coalition of t ≥ n/2 reads the honest shares
+//! before releasing its own and withholds them — it learns y while the
+//! remaining ⌊n/2⌋ honest parties stay below the threshold (see
+//! [`HalfCoalition`]).
 
+use fair_crypto::commit::{self, Commitment, Opening};
 use fair_crypto::prg::Prg;
 use fair_crypto::share::{shamir_reconstruct, shamir_share, ShamirShare};
-use fair_crypto::sign::{self, Signature, VerifyingKey};
 use fair_field::Fp;
 use fair_runtime::wire::{WireLen, INT, TAG};
 use fair_runtime::{
@@ -48,7 +52,8 @@ pub fn threshold(n: usize) -> usize {
 pub enum HalfMsg {
     /// Traffic to/from the phase-1 functionality.
     Sfe(SfeMsg),
-    /// Phase 2 broadcast: a signed key share (index, value, signature).
+    /// Phase 2 broadcast: an opened key share (index, value, opening
+    /// randomness).
     KeyShare(u64, u64, Vec<u8>),
 }
 
@@ -56,7 +61,7 @@ impl WireLen for HalfMsg {
     fn wire_len(&self) -> usize {
         TAG + match self {
             HalfMsg::Sfe(s) => s.wire_len(),
-            HalfMsg::KeyShare(_, _, sig) => 2 * INT + sig.wire_len(),
+            HalfMsg::KeyShare(_, _, r) => 2 * INT + r.wire_len(),
         }
     }
 }
@@ -68,7 +73,7 @@ fn down(m: &HalfMsg) -> Option<SfeMsg> {
     }
 }
 
-fn share_sign_payload(index: u64, value: u64) -> Vec<u8> {
+fn share_payload(index: u64, value: u64) -> Vec<u8> {
     let mut out = b"gmw-half-share".to_vec();
     out.extend_from_slice(&index.to_be_bytes());
     out.extend_from_slice(&value.to_be_bytes());
@@ -83,7 +88,9 @@ pub fn decrypt(ct: &[u8], k: Fp) -> Option<Value> {
 }
 
 /// The phase-1 specification: encrypted output plus verifiable key shares.
-/// Records facts `y` and `threshold`.
+/// Party j receives the ciphertext, its share (index, value), the opening
+/// randomness of the commitment to that share, and the commitments to all
+/// n shares. Records facts `y` and `threshold`.
 pub fn half_spec(name: &str, n: usize, f: NPartyFn) -> IdealSpec {
     IdealSpec::new(name, n, move |inputs, rng| {
         let y = f(inputs);
@@ -93,18 +100,26 @@ pub fn half_spec(name: &str, n: usize, f: NPartyFn) -> IdealSpec {
         let ct: Vec<u8> = enc.iter().zip(&pad).map(|(a, b)| a ^ b).collect();
         let t = threshold(inputs.len());
         let shares = shamir_share(k, t, inputs.len(), rng);
-        let (sk, vk) = sign::keygen_many(inputs.len(), rng);
+        let (commitments, openings): (Vec<Commitment>, Vec<Opening>) = shares
+            .iter()
+            .map(|s| commit::commit(&share_payload(s.index, s.value.value()), rng))
+            .unzip();
+        let published = Value::Tuple(
+            commitments
+                .iter()
+                .map(|c| Value::Bytes(c.0.to_vec()))
+                .collect(),
+        );
         let per_party = shares
             .iter()
-            .enumerate()
-            .map(|(j, s)| {
-                let sig = sign::sign(&sk[j], &share_sign_payload(s.index, s.value.value()));
+            .zip(openings)
+            .map(|(s, o)| {
                 Value::Tuple(vec![
                     Value::Bytes(ct.clone()),
                     Value::Scalar(s.index),
                     Value::Scalar(s.value.value()),
-                    Value::Bytes(sig.to_bytes()),
-                    Value::Tuple(vk.iter().map(|v| Value::Bytes(v.to_bytes())).collect()),
+                    Value::Bytes(o.randomness),
+                    published.clone(),
                 ])
             })
             .collect();
@@ -130,7 +145,7 @@ pub struct HalfParty {
     input: Value,
     ct: Option<Vec<u8>>,
     my_share: Option<(u64, u64, Vec<u8>)>,
-    vks: Vec<VerifyingKey>,
+    commitments: Vec<Commitment>,
     received: Vec<(u64, u64, Vec<u8>)>,
     phase: Phase,
     out: Option<Value>,
@@ -143,21 +158,24 @@ impl HalfParty {
             input,
             ct: None,
             my_share: None,
-            vks: Vec::new(),
+            commitments: Vec::new(),
             received: Vec::new(),
             phase: Phase::AwaitShareGen,
             out: None,
         }
     }
 
-    fn valid_share(&self, index: u64, value: u64, sig: &[u8]) -> bool {
-        let Some(vk) = self.vks.get((index as usize).wrapping_sub(1)) else {
+    /// A share is valid iff it opens the commitment published for its
+    /// index.
+    fn valid_share(&self, index: u64, value: u64, randomness: &[u8]) -> bool {
+        let Some(c) = self.commitments.get((index as usize).wrapping_sub(1)) else {
             return false;
         };
-        let Some(sig) = Signature::from_bytes(sig) else {
-            return false;
+        let opening = Opening {
+            message: share_payload(index, value),
+            randomness: randomness.to_vec(),
         };
-        sign::verify(vk, &share_sign_payload(index, value), &sig)
+        commit::verify(c, &opening)
     }
 
     fn decide(&mut self, n: usize) {
@@ -167,8 +185,8 @@ impl HalfParty {
         if let Some(m) = &self.my_share {
             mine_and_received.push(m.clone());
         }
-        for (index, value, sig) in &mine_and_received {
-            if !self.valid_share(*index, *value, sig) {
+        for (index, value, r) in &mine_and_received {
+            if !self.valid_share(*index, *value, r) {
                 continue;
             }
             if shares.iter().any(|s| s.index == *index) {
@@ -202,7 +220,7 @@ impl Party<HalfMsg> for HalfParty {
                 HalfMsg::Sfe(m) if matches!(e.from, fair_runtime::Endpoint::Func(_)) => {
                     sfe = Some(m.clone());
                 }
-                HalfMsg::KeyShare(i, v, s) => self.received.push((*i, *v, s.clone())),
+                HalfMsg::KeyShare(i, v, r) => self.received.push((*i, *v, r.clone())),
                 _ => {}
             }
         }
@@ -218,33 +236,33 @@ impl Party<HalfMsg> for HalfParty {
                     Some(SfeMsg::Output(v)) => {
                         let parsed = (|| {
                             let Value::Tuple(parts) = &v else { return None };
-                            let [ct, index, value, sig, vks] = parts.as_slice() else {
+                            let [ct, index, value, r, cs] = parts.as_slice() else {
                                 return None;
                             };
-                            let Value::Tuple(vks) = vks else { return None };
-                            let vks: Option<Vec<VerifyingKey>> = vks
+                            let Value::Tuple(cs) = cs else { return None };
+                            let cs: Option<Vec<Commitment>> = cs
                                 .iter()
-                                .map(|b| b.as_bytes().and_then(VerifyingKey::from_bytes))
+                                .map(|c| Some(Commitment(c.as_bytes()?.try_into().ok()?)))
                                 .collect();
                             Some((
                                 ct.as_bytes()?.to_vec(),
                                 index.as_scalar()?,
                                 value.as_scalar()?,
-                                sig.as_bytes()?.to_vec(),
-                                vks?,
+                                r.as_bytes()?.to_vec(),
+                                cs?,
                             ))
                         })();
-                        let Some((ct, index, value, sig, vks)) = parsed else {
+                        let Some((ct, index, value, r, cs)) = parsed else {
                             self.out = Some(Value::Bot);
                             return Vec::new();
                         };
                         self.ct = Some(ct);
-                        self.my_share = Some((index, value, sig.clone()));
-                        self.vks = vks;
+                        self.my_share = Some((index, value, r.clone()));
+                        self.commitments = cs;
                         self.phase = Phase::AwaitShares {
                             deadline: ctx.round + 2,
                         };
-                        vec![OutMsg::broadcast(HalfMsg::KeyShare(index, value, sig))]
+                        vec![OutMsg::broadcast(HalfMsg::KeyShare(index, value, r))]
                     }
                     Some(SfeMsg::Abort) => {
                         self.out = Some(Value::Bot);
@@ -508,10 +526,14 @@ mod tests {
             ) {
                 ctrl.run_honestly(PartyId(0));
                 if view.round == 2 {
-                    // Inject a bogus share for index 2 with a garbage sig.
+                    // Inject a bogus share for index 2 with garbage randomness.
                     ctrl.send_as(
                         PartyId(0),
-                        OutMsg::broadcast(HalfMsg::KeyShare(2, 12345, vec![0u8; 256 * 32])),
+                        OutMsg::broadcast(HalfMsg::KeyShare(
+                            2,
+                            12345,
+                            vec![0u8; commit::OPENING_LEN],
+                        )),
                     );
                 }
             }
@@ -526,8 +548,8 @@ mod tests {
     fn half_msg_wire_len_per_variant() {
         assert_eq!(HalfMsg::Sfe(SfeMsg::Abort).wire_len(), 1 + 1);
         assert_eq!(
-            HalfMsg::KeyShare(1, 2, vec![0; 8192]).wire_len(),
-            1 + 8 + 8 + 4 + 8192
+            HalfMsg::KeyShare(1, 2, vec![0; 32]).wire_len(),
+            1 + 8 + 8 + 4 + 32
         );
     }
 }

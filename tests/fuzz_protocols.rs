@@ -1,12 +1,15 @@
 //! Structured protocol fuzzing: corrupted parties inject random well-typed
 //! garbage every round. Honest parties must always land on the real output
-//! or an abort — never on an attacker-chosen value. (The signature and MAC
-//! layers are what make this hold; these tests are the end-to-end check
-//! that nothing in the message plumbing routes around them.)
+//! or an abort — never on an attacker-chosen value. (The signatures of
+//! Π^Opt_nSFE and the share commitments of Π^{1/2}_GMW are what make this
+//! hold; these tests are the end-to-end check that nothing in the message
+//! plumbing routes around them.)
 
+use fair_crypto::commit::OPENING_LEN;
 use fair_protocols::gmw_half::{gmw_half_instance, HalfMsg};
 use fair_protocols::optn::{concat_fn, optn_instance, OptnMsg};
 use fair_runtime::{execute, AdvControl, Adversary, OutMsg, PartyId, RoundView, Value};
+use fair_sfe::ideal::SfeMsg;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -63,7 +66,7 @@ fn optn_fuzzing_never_forges_an_output() {
     }
 }
 
-/// Injects random key shares (random index/value/signature bytes) into the
+/// Injects random key shares (random index/value/opening bytes) into the
 /// Π^{1/2}_GMW reconstruction.
 struct HalfFuzzer;
 
@@ -80,15 +83,15 @@ impl Adversary<HalfMsg> for HalfFuzzer {
     ) {
         ctrl.run_honestly(PartyId(0));
         for _ in 0..rng.random_range(1..3usize) {
-            let sig_len = if rng.random_bool(0.5) {
-                256 * 32
+            let r_len = if rng.random_bool(0.5) {
+                OPENING_LEN
             } else {
                 rng.random_range(0..64)
             };
-            let sig: Vec<u8> = (0..sig_len).map(|_| rng.random()).collect();
+            let r: Vec<u8> = (0..r_len).map(|_| rng.random()).collect();
             ctrl.send_as(
                 PartyId(0),
-                OutMsg::broadcast(HalfMsg::KeyShare(rng.random_range(0..8), rng.random(), sig)),
+                OutMsg::broadcast(HalfMsg::KeyShare(rng.random_range(0..8), rng.random(), r)),
             );
         }
     }
@@ -109,6 +112,89 @@ fn gmw_half_fuzzing_never_corrupts_reconstruction() {
                 "seed {seed}: party {p} reconstructed a corrupted value {v}"
             );
         }
+    }
+}
+
+/// Tries to bend the share commitments of Π^{1/2}_GMW with real openings:
+/// it withholds its own share and instead broadcasts (a) its own valid
+/// opening under a changed share value and (b) an honest party's opening,
+/// read by rushing, under its own index.
+struct HalfOpeningReplayer {
+    own: Option<(u64, u64, Vec<u8>)>,
+    forged: usize,
+}
+
+impl Adversary<HalfMsg> for HalfOpeningReplayer {
+    fn initial_corruptions(&mut self, _n: usize, _rng: &mut StdRng) -> Vec<PartyId> {
+        vec![PartyId(0)]
+    }
+
+    fn on_round(
+        &mut self,
+        view: &RoundView<'_, HalfMsg>,
+        ctrl: &mut AdvControl<'_, HalfMsg>,
+        _rng: &mut StdRng,
+    ) {
+        for e in view.delivered {
+            if let HalfMsg::Sfe(SfeMsg::Output(Value::Tuple(parts))) = &e.msg {
+                if let [_, index, value, r, ..] = parts.as_slice() {
+                    if let (Some(i), Some(v), Some(r)) =
+                        (index.as_scalar(), value.as_scalar(), r.as_bytes())
+                    {
+                        self.own = Some((i, v, r.to_vec()));
+                    }
+                }
+            }
+        }
+        let Some((i, v, r)) = &self.own else {
+            ctrl.run_honestly(PartyId(0));
+            return;
+        };
+        // Silent from here on, apart from the forgeries sent alongside the
+        // honest broadcasts.
+        let replays: Vec<HalfMsg> = view
+            .rushing
+            .iter()
+            .filter_map(|e| match &e.msg {
+                HalfMsg::KeyShare(j, w, s) if j != i => Some(HalfMsg::KeyShare(*i, *w, s.clone())),
+                _ => None,
+            })
+            .collect();
+        if replays.is_empty() || self.forged > 0 {
+            return;
+        }
+        let rebound = HalfMsg::KeyShare(*i, v.wrapping_add(1), r.clone());
+        for m in std::iter::once(rebound).chain(replays) {
+            ctrl.send_as(PartyId(0), OutMsg::broadcast(m));
+            self.forged += 1;
+        }
+    }
+}
+
+#[test]
+fn gmw_half_rejects_replayed_and_rebound_openings() {
+    let n = 5;
+    for seed in 0..30u64 {
+        let mut rng = StdRng::seed_from_u64(3000 + seed);
+        let inputs: Vec<Value> = (0..n).map(|i| Value::Scalar(20 + i as u64)).collect();
+        let truth = Value::Tuple(inputs.clone());
+        let inst = gmw_half_instance("concat", concat_fn(), inputs);
+        let mut adv = HalfOpeningReplayer {
+            own: None,
+            forged: 0,
+        };
+        let res = execute(inst, &mut adv, &mut rng, 40).expect("execution succeeds");
+        // One rebound opening plus a replay of each of the four honest ones.
+        assert_eq!(adv.forged, 1 + (n - 1), "seed {seed}");
+        // Stricter than truth-or-⊥: the four honest shares clear the
+        // threshold of 3 on their own, so an abort here would mean a forged
+        // share was accepted.
+        assert_eq!(res.outputs.len(), n - 1, "seed {seed}");
+        assert!(
+            res.outputs.values().all(|v| *v == truth),
+            "seed {seed}: {:?}",
+            res.outputs
+        );
     }
 }
 
