@@ -86,19 +86,31 @@ boot_server() {
 }
 
 echo "== fair-serve smoke (ephemeral boot, fair-load --check, graceful shutdown)"
+# Every smoke server boots on its own empty tile dir and serves one
+# fair-load run, so each run's cold phase is cold on any rerun: no tiles
+# left on disk by an earlier run, no replies cached by an earlier load.
+SMOKE_TILES="$(mktemp -d)"
 # Perf gate pinned to --loops 1: the 5k rps floor below measures the
 # single-loop event loop, so sharding changes can't mask a regression.
-boot_server --workers 2 --loops 1 --metrics-out target/simlab/serve_metrics.json
+boot_server --workers 2 --loops 1 --tiles-dir "$SMOKE_TILES/oneshot" \
+  --metrics-out target/simlab/serve_metrics.json
 # --check fails on any request error or a cold cache (warm hit rate must be > 0).
 ./target/release/fair-load --addr "$ADDR" --exp e2 --trials 200 \
   --clients 2 --points 4 --repeat 4 --out target/simlab/serve_load_smoke.json --check
+# Graceful shutdown: the server drains, flushes metrics, and exits cleanly.
+./target/release/fair-load shutdown --addr "$ADDR"
+wait "$SERVE_PID"
+test -s target/simlab/serve_metrics.json
 # Keep-alive path: the same gate over persistent pipelined connections,
 # plus a conservative warm-throughput floor (release build on one core
 # sustains tens of thousands of rps; 5k catches an event-loop regression
 # without being flaky on slow CI hosts).
+boot_server --workers 2 --loops 1 --tiles-dir "$SMOKE_TILES/keepalive"
 ./target/release/fair-load --addr "$ADDR" --exp e2 --trials 200 \
   --connections 4 --pipeline 8 --points 4 --repeat 50 \
   --out target/simlab/serve_load_keepalive_smoke.json --check
+./target/release/fair-load shutdown --addr "$ADDR"
+wait "$SERVE_PID"
 python3 - <<'EOF'
 import json
 with open("target/simlab/serve_load_keepalive_smoke.json") as fh:
@@ -108,17 +120,14 @@ rps = doc["warm_rps"]
 assert rps >= 5000, f"keep-alive warm path too slow: {rps} rps < 5000 floor"
 print(f"keep-alive warm path: {rps} rps (floor 5000)")
 EOF
-# Graceful shutdown: the server drains, flushes metrics, and exits cleanly.
-./target/release/fair-load shutdown --addr "$ADDR"
-wait "$SERVE_PID"
-test -s target/simlab/serve_metrics.json
 
 echo "== fair-serve sharded smoke (--loops 2, correctness-only gate)"
 # Correctness only — no throughput floor: both gates (0 errors, warm
 # cache hits) must hold when accepts are sharded across two event loops,
 # and the group must still drain cleanly on shutdown.
 SHARD_METRICS="$(mktemp)"
-boot_server --workers 2 --loops 2 --metrics-out "$SHARD_METRICS"
+boot_server --workers 2 --loops 2 --tiles-dir "$SMOKE_TILES/sharded" \
+  --metrics-out "$SHARD_METRICS"
 ./target/release/fair-load --addr "$ADDR" --exp e2 --trials 200 \
   --connections 4 --pipeline 4 --points 4 --repeat 8 \
   --out target/simlab/serve_load_sharded_smoke.json --check
@@ -127,6 +136,16 @@ wait "$SERVE_PID"
 # The aggregated snapshot reports both loops.
 grep -q '"loops": 2' "$SHARD_METRICS"
 rm -f "$SHARD_METRICS"
+# No smoke's cold phase was answered from stored tiles or cached replies.
+python3 - <<'EOF'
+import json
+for name in ("smoke", "keepalive_smoke", "sharded_smoke"):
+    with open(f"target/simlab/serve_load_{name}.json") as fh:
+        doc = json.load(fh)
+    assert doc["cold_tile_hits"] == 0, (name, doc["cold_tile_hits"])
+    assert doc["cold_cache_hits"] == 0, (name, doc["cold_cache_hits"])
+EOF
+rm -rf "$SMOKE_TILES"
 
 echo "== tile-store restart smoke (warm-from-disk byte identity + /stream)"
 TILES_DIR="$(mktemp -d)"

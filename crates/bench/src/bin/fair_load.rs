@@ -34,7 +34,10 @@
 //! the cold-vs-warm median ratio. `cold_tile_hits` counts the tiles the
 //! server's store served during the cold phase (`null` without a store);
 //! above 0 the cold phase reused an earlier run's tiles, and a warning
-//! says so on stderr. Open-loop measurement (a fixed offered
+//! says so on stderr. `cold_cache_hits` counts the cold replies the
+//! server's response cache answered (`X-Cache: hit`/`wait`); above 0 an
+//! earlier run against the same server had computed those points, and
+//! another warning says so. Open-loop measurement (a fixed offered
 //! rate, latency from the scheduled send) is perfbench's `serve_mixed`
 //! workload: `python3 perfbench/run.py --workload serve_mixed`.
 

@@ -8,7 +8,10 @@ use std::sync::Arc;
 
 use fair_circuits::{bits_to_u64, u64_to_bits};
 use fair_core::strategy::{any_output, CorruptionPlan, LockAndAbort};
-use fair_core::{analytic, best_of, estimate, Payoff, Scenario, Trial, UtilityEstimate};
+use fair_core::{
+    analytic, best_of, best_of_each, estimate, estimate_batch, Payoff, Scenario, Trial,
+    UtilityEstimate,
+};
 use fair_protocols::scenarios::{
     artificial_sweep, contract_sweep, gk_sweep, gmw_half_sweep, ideal_fair_sweep, one_round_sweep,
     opt2_sweep, optn_sweep, Opt2Scenario, Strategy,
@@ -32,6 +35,18 @@ pub(crate) fn best<S: Scenario + Sync>(
 ) -> UtilityEstimate {
     let (ests, idx) = best_of(scenarios, payoff, trials, seed);
     ests[idx].clone()
+}
+
+/// [`best`] of every `(library, seed)` pair, estimated as one batch.
+pub(crate) fn best_each<S: Scenario + Sync>(
+    libraries: &[(Vec<S>, u64)],
+    payoff: &Payoff,
+    trials: usize,
+) -> Vec<UtilityEstimate> {
+    best_of_each(libraries, payoff, trials)
+        .into_iter()
+        .map(|(mut ests, idx)| ests.swap_remove(idx))
+        .collect()
 }
 
 /// E1 — Introduction: Π2 is twice as fair as Π1.
@@ -218,12 +233,20 @@ pub fn e6(trials: usize, seed: u64, n: usize) -> Vec<RowRecord> {
     let mut rows = Vec::new();
     let mut sum = 0.0;
     let mut sum_ci = 0.0;
-    for i in 0..n {
-        let s = fair_protocols::scenarios::OptnScenario {
+    // The A_ī strategies, then their mix, estimated as one batch.
+    let scenarios: Vec<_> = (0..n)
+        .map(CorruptionPlan::AllBut)
+        .chain([CorruptionPlan::RandomAllButOne])
+        .map(|plan| fair_protocols::scenarios::OptnScenario {
             n,
-            strategy: Strategy::LockAbort(CorruptionPlan::AllBut(i)),
-        };
-        let u = estimate(&s, &payoff, trials, seed ^ (i as u64));
+            strategy: Strategy::LockAbort(plan),
+        })
+        .collect();
+    let seeds = (0..n as u64).chain([99]).map(|k| seed ^ k);
+    let jobs: Vec<_> = scenarios.iter().zip(seeds).collect();
+    let ests = estimate_batch(&jobs, &payoff, trials);
+    let (mixed, each) = ests.split_last().expect("n + 1 estimates");
+    for (i, u) in each.iter().enumerate() {
         sum += u.mean;
         sum_ci += u.ci;
         rows.push(RowRecord::vs_paper(
@@ -241,16 +264,11 @@ pub fn e6(trials: usize, seed: u64, n: usize) -> Vec<RowRecord> {
         sum_ci,
         n as f64 * TOL,
     ));
-    let mixed = fair_protocols::scenarios::OptnScenario {
-        n,
-        strategy: Strategy::LockAbort(CorruptionPlan::RandomAllButOne),
-    };
-    let u = estimate(&mixed, &payoff, trials, seed ^ 99);
     rows.push(RowRecord::vs_paper(
         "mixed A: ((n−1)γ10+γ11)/n",
         analytic::optn_best(&payoff, n),
-        u.mean,
-        u.ci,
+        mixed.mean,
+        mixed.ci,
         TOL,
     ));
     rows
@@ -262,8 +280,10 @@ pub fn e7(trials: usize, seed: u64, n: usize) -> Vec<RowRecord> {
     let mut rows = Vec::new();
     let mut sum = 0.0;
     let mut sum_ci = 0.0;
-    for t in 1..n {
-        let u = best(&optn_sweep(n, t), &payoff, trials, seed ^ (t as u64));
+    let libraries: Vec<_> = (1..n)
+        .map(|t| (optn_sweep(n, t), seed ^ (t as u64)))
+        .collect();
+    for u in best_each(&libraries, &payoff, trials) {
         sum += u.mean;
         sum_ci += u.ci;
     }
@@ -284,13 +304,10 @@ pub fn e8(trials: usize, seed: u64, ns: &[usize]) -> Vec<RowRecord> {
     for &n in ns {
         let mut sum = 0.0;
         let mut sum_ci = 0.0;
-        for t in 1..n {
-            let u = best(
-                &gmw_half_sweep(n, t),
-                &payoff,
-                trials,
-                seed ^ ((n * 16 + t) as u64),
-            );
+        let libraries: Vec<_> = (1..n)
+            .map(|t| (gmw_half_sweep(n, t), seed ^ ((n * 16 + t) as u64)))
+            .collect();
+        for (t, u) in (1..n).zip(best_each(&libraries, &payoff, trials)) {
             sum += u.mean;
             sum_ci += u.ci;
             rows.push(RowRecord::vs_paper(
@@ -801,8 +818,10 @@ pub fn e16(trials: usize, seed: u64) -> Vec<RowRecord> {
     let mut sum = 0.0;
     let mut sum_ci = 0.0;
     let mut sup = f64::NEG_INFINITY;
-    for t in 1..n {
-        let u = best(&gmw_half_sweep(n, t), &payoff, trials, seed ^ (t as u64));
+    let libraries: Vec<_> = (1..n)
+        .map(|t| (gmw_half_sweep(n, t), seed ^ (t as u64)))
+        .collect();
+    for u in best_each(&libraries, &payoff, trials) {
         sum += u.mean;
         sum_ci += u.ci;
         sup = sup.max(u.mean);

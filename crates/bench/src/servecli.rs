@@ -158,6 +158,11 @@ pub struct LoadReport {
     /// when it runs without a tile store). Above 0, the cold phase reused
     /// tiles an earlier run left on disk and was not cold.
     pub cold_tile_hits: Option<u64>,
+    /// Cold-phase replies served from the server's response cache
+    /// (`X-Cache: hit`/`wait`). Above 0, an earlier run against the same
+    /// server had already computed those points and the cold phase was not
+    /// cold.
+    pub cold_cache_hits: u64,
     /// Latency quantiles of the warm phase (nanoseconds per request).
     pub warm_ns: QuantileSummary,
     /// Requests that failed (transport error or non-200).
@@ -290,8 +295,9 @@ fn persistent_sweep(opts: &LoadOptions, target_for: &dyn Fn(usize) -> String) ->
 /// Drives the load: a sequential **cold phase** touching each point once
 /// (every request a miss on a fresh server), then a concurrent **warm
 /// phase** in the mode [`LoadOptions::mode`] selects. The server's tile
-/// hits across the cold phase land in [`LoadReport::cold_tile_hits`],
-/// with a warning on stderr when there were any:
+/// hits across the cold phase land in [`LoadReport::cold_tile_hits`] and
+/// its cached cold replies in [`LoadReport::cold_cache_hits`], each with a
+/// warning on stderr when there were any:
 ///
 /// - `oneshot` — `clients` threads, fresh connection per request,
 ///   closed loop (the next request waits for the previous reply).
@@ -310,13 +316,17 @@ pub fn run_load(opts: &LoadOptions) -> LoadReport {
 
     let mut errors = 0u64;
     let mut cold_samples = Vec::with_capacity(opts.points);
+    let mut cold_cache_hits = 0u64;
     let hits_before = tile_hits(opts.addr);
     for seed in 0..opts.points {
         let (ns, reply) = timed_get(opts.addr, &target_for(seed));
-        match reply {
-            Some(r) if r.status == 200 => cold_samples.push(ns),
-            _ => errors += 1,
-        }
+        tally_reply(
+            reply.as_ref(),
+            ns,
+            &mut cold_samples,
+            &mut cold_cache_hits,
+            &mut errors,
+        );
     }
     let cold_tile_hits =
         hits_before.and_then(|before| Some(tile_hits(opts.addr)?.saturating_sub(before)));
@@ -324,6 +334,12 @@ pub fn run_load(opts: &LoadOptions) -> LoadReport {
         eprintln!(
             "warning: the cold phase reused {hits} stored tiles; its latencies are not cold \
              (point fair-serve at an empty --tiles-dir or pass --no-tiles)"
+        );
+    }
+    if cold_cache_hits > 0 {
+        eprintln!(
+            "warning: {cold_cache_hits} cold-phase replies came from the response cache; \
+             its latencies are not cold (run the load against a freshly started fair-serve)"
         );
     }
 
@@ -368,6 +384,7 @@ pub fn run_load(opts: &LoadOptions) -> LoadReport {
         mode: mode.to_string(),
         cold_ns: QuantileSummary::from_samples(cold_samples),
         cold_tile_hits,
+        cold_cache_hits,
         warm_ns: QuantileSummary::from_samples(warm_samples),
         errors,
         warm_hits,
@@ -406,6 +423,7 @@ pub fn load_json(opts: &LoadOptions, report: &LoadReport) -> Json {
         .field("warm_rps", Json::Num(round1(report.warm_rps)))
         .field("p50_speedup", Json::Num(round1(report.p50_speedup())))
         .field("cold", quantile_fields(&report.cold_ns))
+        .field("cold_cache_hits", Json::num(report.cold_cache_hits as f64))
         .field(
             "cold_tile_hits",
             report
@@ -453,6 +471,7 @@ mod tests {
             mode: "persistent".to_string(),
             cold_ns: QuantileSummary::from_samples(vec![1000, 2000]),
             cold_tile_hits: Some(3),
+            cold_cache_hits: 2,
             warm_ns: QuantileSummary::from_samples(vec![100]),
             errors: 0,
             warm_hits: 9,
@@ -468,6 +487,7 @@ mod tests {
         assert!(doc.contains("\"mode\":\"persistent\""));
         assert!(doc.contains("\"warm_rps\":123.4"));
         assert!(doc.contains("\"cold_tile_hits\":3"));
+        assert!(doc.contains("\"cold_cache_hits\":2"));
         let no_store = LoadReport {
             cold_tile_hits: None,
             ..report.clone()
@@ -484,6 +504,7 @@ mod tests {
             [
                 "clients",
                 "cold",
+                "cold_cache_hits",
                 "cold_tile_hits",
                 "connections",
                 "errors",

@@ -3,8 +3,8 @@
 //! tallies are bit-identical for every `--jobs` value (the acceptance
 //! criterion of the parallel scheduler).
 
-use fair_core::{estimate, Payoff};
-use fair_protocols::scenarios::contract_sweep;
+use fair_core::{best_of, estimate, Payoff};
+use fair_protocols::scenarios::{contract_sweep, opt2_sweep};
 use fair_simlab::with_jobs;
 use proptest::prelude::*;
 
@@ -55,5 +55,33 @@ proptest! {
         prop_assert_eq!(seq.mean.to_bits(), par.mean.to_bits());
         prop_assert_eq!(seq.ci.to_bits(), par.ci.to_bits());
         prop_assert_eq!(seq.trials, par.trials);
+    }
+
+    /// The batch contract: `best_of` runs a whole strategy library as one
+    /// flat `(scenario, tile)` batch, and each of its estimates equals the
+    /// scenario's own `estimate` at seed `seed + (i << 32)` bit-for-bit,
+    /// at every job count.
+    #[test]
+    fn best_of_matches_per_scenario_estimates(trials in 1usize..200, seed in 0u64..1_000_000) {
+        let library = opt2_sweep();
+        prop_assert!(library.len() >= 3);
+        let payoff = Payoff::standard();
+        let alone: Vec<_> = with_jobs(1, || {
+            library
+                .iter()
+                .enumerate()
+                .map(|(i, s)| estimate(s, &payoff, trials, seed + ((i as u64) << 32)))
+                .collect()
+        });
+        for jobs in [1usize, 2, 4] {
+            let (batched, _) = with_jobs(jobs, || best_of(&library, &payoff, trials, seed));
+            prop_assert_eq!(batched.len(), alone.len());
+            for (b, a) in batched.iter().zip(&alone) {
+                prop_assert_eq!(b.event_counts, a.event_counts);
+                prop_assert_eq!(b.mean.to_bits(), a.mean.to_bits());
+                prop_assert_eq!(b.ci.to_bits(), a.ci.to_bits());
+                prop_assert_eq!(b.trials, a.trials);
+            }
+        }
     }
 }

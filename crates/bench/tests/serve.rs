@@ -108,6 +108,10 @@ fn load_generator_measures_a_live_server() {
     assert_eq!(report.total_requests, 3 + 2 * 2 * 3);
     assert_eq!(report.cold_tile_hits, None, "no tile store installed");
     assert_eq!(
+        report.cold_cache_hits, 0,
+        "a fresh server's cold phase is cold"
+    );
+    assert_eq!(
         report.warm_hits, report.warm_requests,
         "warm phase all cached"
     );
@@ -127,6 +131,10 @@ fn load_generator_measures_a_live_server() {
     let report = run_load(&persistent);
     assert_eq!(report.mode, "persistent");
     assert_eq!(report.errors, 0, "no request failed on keep-alive path");
+    assert_eq!(
+        report.cold_cache_hits, 3,
+        "a second cold phase on the same server is answered from the cache"
+    );
     assert_eq!(
         report.warm_hits, report.warm_requests,
         "persistent warm phase all cached"

@@ -13,7 +13,9 @@
 //! * [`event`] — the events E₀₀/E₀₁/E₁₀/E₁₁ and execution classification.
 //! * [`payoff`] — payoff vectors and the classes Γ_fair / Γ⁺_fair.
 //! * [`utility`] — Monte-Carlo estimation of u_A(Π, A) over seeded
-//!   executions ([`Scenario`], [`estimate`], [`best_of`]).
+//!   executions ([`Scenario`], [`estimate`], [`best_of`]). A strategy
+//!   library is estimated as one batch: the tiles of all its scenarios
+//!   share one scheduler fan-out ([`estimate_batch`]).
 //! * [`strategy`] — the paper's proof adversaries as a generic library
 //!   (lock-and-abort, abort-round sweeps, honest baselines).
 //! * [`fairness`] — the relative-fairness partial order (Def. 1) and
@@ -33,6 +35,7 @@
 //! [`Scenario`]: utility::Scenario
 //! [`estimate`]: utility::estimate
 //! [`best_of`]: utility::best_of
+//! [`estimate_batch`]: utility::estimate_batch
 
 pub mod analytic;
 pub mod cost;
@@ -49,4 +52,7 @@ pub mod utility;
 
 pub use event::{classify, truth_from_ledger, Event, HonestCriterion};
 pub use payoff::{Payoff, PayoffError};
-pub use utility::{best_of, estimate, run_once_traced, Scenario, Trial, UtilityEstimate};
+pub use utility::{
+    best_of, best_of_each, estimate, estimate_batch, run_once_traced, Scenario, Trial,
+    UtilityEstimate,
+};

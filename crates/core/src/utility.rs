@@ -15,9 +15,12 @@
 //! — a pure function of the trial index — and shards produce integer
 //! [`Tally`]s merged in schedule-independent order, so the estimate is
 //! **bit-identical for every worker count** (including the sequential
-//! `jobs = 1` path, which runs the same tiling code). Each individual
-//! protocol execution stays single-threaded, preserving reproducible
-//! adversary scheduling.
+//! `jobs = 1` path, which runs the same tiling code). Several estimates
+//! share one fan-out: [`estimate_batch`] hands the tiles of all its jobs
+//! to the scheduler as one flat `(job, tile)` list, and [`estimate`] and
+//! [`best_of`] are batches of one scenario and of one strategy library.
+//! Each individual protocol execution stays single-threaded, preserving
+//! reproducible adversary scheduling.
 
 use fair_runtime::{execute, execute_traced, Adversary, ExecutionResult, Instance, Value, WireLen};
 use fair_trace::{ExecStats, ProtoBatch, RecordingTracer};
@@ -232,48 +235,84 @@ const ADAPTIVE_CHUNK_TILES: usize = 4;
 /// approximation behind the interval is meaningless on a handful of trials.
 const ADAPTIVE_MIN_TRIALS: usize = 2 * fair_simlab::TILE;
 
-/// Estimates the attacker's utility for a scenario by Monte Carlo.
-///
-/// Trials are sharded across the `fair-simlab` scheduler's workers; the
-/// result is bit-identical for every `--jobs` value (see the module docs).
-///
-/// Two ambient contexts refine the execution without changing the result
-/// for a full-budget run:
-///
-/// - when a tile store is live ([`fair_tiles::cache`] — a store installed
-///   *and* an `(exp, seed)` group entered), full 64-trial tiles are looked
-///   up before computing and recorded after, so repeat estimations only
-///   pay for tiles they have never seen; merged results stay byte-identical
-///   to a fresh run because the cache stores the same integer tallies the
-///   fresh run would fold;
-/// - when a progressive context is armed ([`crate::progressive::scoped`]),
-///   tiles run in chunks and the call stops early once the 95% half-width
-///   reaches the armed epsilon, emitting a progress frame per chunk.
+/// One estimate of a batch: a scenario, its name (the tile-store stream
+/// and metrics key) and its base seed.
+struct Job<'a, S> {
+    scenario: &'a S,
+    name: String,
+    seed: u64,
+}
+
+/// Estimates the attacker's utility for a scenario by Monte Carlo: a batch
+/// of one for [`estimate_batch`], which documents the tiling, the tile
+/// store and the adaptive stopper. The result is bit-identical for every
+/// `--jobs` value (see the module docs).
 pub fn estimate<S: Scenario + Sync>(
     scenario: &S,
     payoff: &Payoff,
     trials: usize,
     seed: u64,
 ) -> UtilityEstimate {
+    estimate_batch(&[(scenario, seed)], payoff, trials)
+        .pop()
+        .expect("one estimate per job")
+}
+
+/// Estimates every `(scenario, seed)` job at `trials` trials each and
+/// returns the estimates in job order. Each one is bit-identical to
+/// [`estimate`] of its job on its own, for every `--jobs` value: the
+/// tiles of all jobs are one flat `(job, tile)` work list for the
+/// `fair-simlab` scheduler, so a batch of one-tile estimates still keeps
+/// every worker busy, and each job's tiles are merged in tile order.
+///
+/// Two ambient contexts refine the execution without changing the result
+/// for a full-budget run:
+///
+/// - when a tile store is live ([`fair_tiles::cache`] — a store installed
+///   *and* an `(exp, seed)` group entered), full 64-trial tiles are looked
+///   up before computing and recorded after, on the calling thread, so
+///   repeat estimations only pay for tiles they have never seen; merged
+///   results stay byte-identical to a fresh run because the cache stores
+///   the same integer tallies the fresh run would fold;
+/// - when a progressive context is armed ([`crate::progressive::scoped`]),
+///   each job runs on its own, in chunks of tiles, and stops early once
+///   its 95% half-width reaches the armed epsilon, emitting a progress
+///   frame per chunk.
+pub fn estimate_batch<S: Scenario + Sync>(
+    jobs: &[(&S, u64)],
+    payoff: &Payoff,
+    trials: usize,
+) -> Vec<UtilityEstimate> {
     assert!(trials > 0, "need at least one trial");
-    let name = scenario.name();
-    let total_tiles = trials.div_ceil(fair_simlab::TILE);
+    let jobs: Vec<Job<'_, S>> = jobs
+        .iter()
+        .map(|&(scenario, seed)| Job {
+            scenario,
+            name: scenario.name(),
+            seed,
+        })
+        .collect();
     if let Some(epsilon) = crate::progressive::epsilon() {
-        return estimate_adaptive(scenario, payoff, trials, seed, &name, epsilon);
+        return jobs
+            .iter()
+            .map(|job| estimate_adaptive(job, payoff, trials, epsilon))
+            .collect();
     }
-    let tally = tally_tile_span(scenario, payoff, &name, seed, 0..total_tiles, trials);
-    tally.into_estimate(name, payoff)
+    let total_tiles = trials.div_ceil(fair_simlab::TILE);
+    tally_batch(&jobs, payoff, 0..total_tiles, trials)
+        .into_iter()
+        .zip(jobs)
+        .map(|(tally, job)| tally.into_estimate(job.name, payoff))
+        .collect()
 }
 
 /// The chunked, CI-bounded estimation path (armed via
 /// [`crate::progressive`]). The stop rule is a pure function of the
 /// integer tallies, so adaptive results are worker-count independent too.
 fn estimate_adaptive<S: Scenario + Sync>(
-    scenario: &S,
+    job: &Job<'_, S>,
     payoff: &Payoff,
     trials: usize,
-    seed: u64,
-    name: &str,
     epsilon: f64,
 ) -> UtilityEstimate {
     let total_tiles = trials.div_ceil(fair_simlab::TILE);
@@ -281,21 +320,15 @@ fn estimate_adaptive<S: Scenario + Sync>(
     let mut next = 0usize;
     loop {
         let hi = (next + ADAPTIVE_CHUNK_TILES).min(total_tiles);
-        tally = tally.merge(tally_tile_span(
-            scenario,
-            payoff,
-            name,
-            seed,
-            next..hi,
-            trials,
-        ));
+        let chunk = tally_batch(core::slice::from_ref(job), payoff, next..hi, trials);
+        tally = tally.merge(chunk[0]);
         next = hi;
-        let est = tally.into_estimate(name.to_string(), payoff);
+        let est = tally.into_estimate(job.name.clone(), payoff);
         let exhausted = next >= total_tiles;
         let converged = est.trials >= ADAPTIVE_MIN_TRIALS && est.ci <= epsilon;
         let done = exhausted || converged;
         crate::progressive::emit(crate::progressive::Update {
-            scenario: name.to_string(),
+            scenario: job.name.clone(),
             requested: trials,
             trials: est.trials,
             mean: est.mean,
@@ -309,54 +342,62 @@ fn estimate_adaptive<S: Scenario + Sync>(
     }
 }
 
-/// Computes the merged tally of the tile span `tiles` of the fixed tiling
-/// of `[0, total)`: cached full tiles are resolved on the calling thread,
-/// only the missing ones are fanned out to scheduler workers, and freshly
-/// computed full tiles are recorded back. Partial tail tiles are never
-/// cached — their geometry depends on `total`.
-fn tally_tile_span<S: Scenario + Sync>(
-    scenario: &S,
+/// The one tile fan-out: tallies the tile span `tiles` of the fixed tiling
+/// of `[0, total)` for every job and returns one merged tally per job.
+/// Cached full tiles are resolved on the calling thread; the missing tiles
+/// of all jobs go to the scheduler as one flat `(job, tile)` list, and
+/// freshly computed full tiles are recorded back on the calling thread.
+/// Partial tail tiles are never cached — their geometry depends on `total`.
+fn tally_batch<S: Scenario + Sync>(
+    jobs: &[Job<'_, S>],
     payoff: &Payoff,
-    name: &str,
-    seed: u64,
     tiles: core::ops::Range<usize>,
     total: usize,
-) -> Tally {
+) -> Vec<Tally> {
     const TILE: usize = fair_simlab::TILE;
     let tile_range = |i: usize| i * TILE..((i + 1) * TILE).min(total);
     let full = |i: usize| (i + 1) * TILE <= total;
     // Transcript capture must observe every trial, so it bypasses the
     // cache entirely (and records nothing, keeping stored tallies pure).
     let cacheable = fair_tiles::cache::active() && !fair_trace::capture::active();
-    let mut slots: Vec<Option<Tally>> = tiles
-        .clone()
-        .map(|i| {
+    // `(job, tile)` pairs in job-major order: slot `k` of `work` is job
+    // `k / span`'s tile `tiles.start + k % span`.
+    let span = tiles.len();
+    let work: Vec<(&Job<'_, S>, usize)> = jobs
+        .iter()
+        .flat_map(|job| tiles.clone().map(move |i| (job, i)))
+        .collect();
+    let mut slots: Vec<Option<Tally>> = work
+        .iter()
+        .map(|&(job, i)| {
             (cacheable && full(i))
-                .then(|| fair_tiles::cache::lookup(name, seed, i as u32))
+                .then(|| fair_tiles::cache::lookup(&job.name, job.seed, i as u32))
                 .flatten()
                 .and_then(tally_from_cached)
         })
         .collect();
-    let missing: Vec<usize> = tiles
-        .clone()
-        .zip(slots.iter())
-        .filter(|(_, slot)| slot.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    let computed = fair_simlab::run_indexed(missing.len(), |k| {
-        compute_tile(scenario, payoff, name, seed, tile_range(missing[k]))
+    let missing: Vec<usize> = (0..work.len()).filter(|&k| slots[k].is_none()).collect();
+    let computed = fair_simlab::run_indexed(missing.len(), |m| {
+        let (job, i) = work[missing[m]];
+        compute_tile(job.scenario, payoff, &job.name, job.seed, tile_range(i))
     });
-    for (k, tally) in computed.into_iter().enumerate() {
-        let i = missing[k];
+    for (&k, tally) in missing.iter().zip(computed) {
+        let (job, i) = work[k];
         if cacheable && full(i) {
-            fair_tiles::cache::record(name, seed, i as u32, tally_to_cached(&tally));
+            fair_tiles::cache::record(&job.name, job.seed, i as u32, tally_to_cached(&tally));
         }
-        slots[i - tiles.start] = Some(tally);
+        slots[k] = Some(tally);
     }
     slots
-        .into_iter()
-        .flatten()
-        .fold(Tally::default(), Tally::merge)
+        .chunks(span)
+        .map(|tiles| {
+            tiles
+                .iter()
+                .flatten()
+                .copied()
+                .fold(Tally::default(), Tally::merge)
+        })
+        .collect()
 }
 
 /// Executes one tile of trials (the scheduler work unit).
@@ -415,7 +456,9 @@ fn tally_to_cached(tally: &Tally) -> fair_tiles::TileTally {
 }
 
 /// Estimates the utility of the *best* strategy among several scenarios
-/// (the empirical analogue of `sup_A u_A(Π, A)` over a strategy library).
+/// (the empirical analogue of `sup_A u_A(Π, A)` over a strategy library):
+/// scenario `i` runs at seed `seed + (i << 32)`, and the whole library is
+/// one [`estimate_batch`].
 ///
 /// Returns the per-scenario estimates and the index of the maximizer.
 pub fn best_of<S: Scenario + Sync>(
@@ -424,19 +467,46 @@ pub fn best_of<S: Scenario + Sync>(
     trials: usize,
     seed: u64,
 ) -> (Vec<UtilityEstimate>, usize) {
-    assert!(!scenarios.is_empty(), "need at least one scenario");
-    let estimates: Vec<UtilityEstimate> = scenarios
+    best_of_each(&[(scenarios, seed)], payoff, trials)
+        .pop()
+        .expect("one library")
+}
+
+/// [`best_of`] for several `(library, seed)` pairs at once: every scenario
+/// of every library goes into one [`estimate_batch`], each library keeps
+/// its own seeding, and the results are exactly those of one `best_of`
+/// per library, in library order.
+pub fn best_of_each<S: Scenario + Sync, L: AsRef<[S]>>(
+    libraries: &[(L, u64)],
+    payoff: &Payoff,
+    trials: usize,
+) -> Vec<(Vec<UtilityEstimate>, usize)> {
+    let jobs: Vec<(&S, u64)> = libraries
         .iter()
-        .enumerate()
-        .map(|(i, s)| estimate(s, payoff, trials, seed.wrapping_add((i as u64) << 32)))
+        .flat_map(|(library, seed)| {
+            assert!(!library.as_ref().is_empty(), "need at least one scenario");
+            library
+                .as_ref()
+                .iter()
+                .enumerate()
+                .map(move |(i, s)| (s, seed.wrapping_add((i as u64) << 32)))
+        })
         .collect();
-    let best = estimates
+    let mut estimates = estimate_batch(&jobs, payoff, trials).into_iter();
+    libraries
         .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.mean.partial_cmp(&b.1.mean).expect("finite means"))
-        .map(|(i, _)| i)
-        .expect("nonempty");
-    (estimates, best)
+        .map(|(library, _)| {
+            let ests: Vec<UtilityEstimate> =
+                estimates.by_ref().take(library.as_ref().len()).collect();
+            let best = ests
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.mean.partial_cmp(&b.1.mean).expect("finite means"))
+                .map(|(i, _)| i)
+                .expect("nonempty");
+            (ests, best)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -479,6 +549,36 @@ mod tests {
                 },
                 adversary: Box::new(Passive),
                 truth: Some(Value::Scalar(3)),
+                max_rounds: 5,
+            }
+        }
+    }
+
+    /// A one-party scenario whose honest output is right with probability
+    /// `self.0`%, so its estimates depend on the seed (E01 when right,
+    /// E00 when wrong).
+    struct Flip(u64);
+
+    impl Scenario for Flip {
+        type Msg = ();
+        fn name(&self) -> String {
+            format!("flip{}", self.0)
+        }
+        fn n(&self) -> usize {
+            1
+        }
+        fn criterion(&self) -> HonestCriterion {
+            HonestCriterion::EqualsTruth
+        }
+        fn build(&self, rng: &mut StdRng) -> Trial<()> {
+            let right = rand::RngExt::random_range(rng, 0..100u64) < self.0;
+            Trial {
+                instance: Instance {
+                    parties: vec![Box::new(Echo(Value::Scalar(u64::from(right)), false))],
+                    funcs: vec![],
+                },
+                adversary: Box::new(Passive),
+                truth: Some(Value::Scalar(1)),
                 max_rounds: 5,
             }
         }
@@ -539,6 +639,68 @@ mod tests {
             assert_eq!(warm.mean.to_bits(), fresh.mean.to_bits());
             assert_eq!(warm.ci.to_bits(), fresh.ci.to_bits());
         }
+    }
+
+    #[test]
+    fn batch_over_a_partly_warm_store_matches_per_scenario_estimates() {
+        let _slot = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let library = [Flip(30), Flip(50), Flip(70)];
+        let payoff = Payoff::standard();
+        // 200 trials = tiles 0..4: three full tiles and a partial tail.
+        let (trials, seed) = (200, 21);
+        let seed_of = |i: u64| seed + (i << 32);
+        let (cold, _) = best_of(&library, &payoff, trials, seed);
+        // A store holding tile 0 of scenario 0 and tiles 0..2 of scenario
+        // 2; returns the counters a closure adds to it.
+        let warm_run = |f: &dyn Fn() -> Vec<UtilityEstimate>| {
+            fair_tiles::cache::install(std::sync::Arc::new(fair_tiles::Store::in_memory()));
+            let (ests, before, after) = fair_tiles::cache::with_group("unit-batch", seed, || {
+                estimate(&library[0], &payoff, 64, seed_of(0));
+                estimate(&library[2], &payoff, 128, seed_of(2));
+                let before = fair_tiles::cache::snapshot().expect("store installed");
+                let ests = f();
+                (
+                    ests,
+                    before,
+                    fair_tiles::cache::snapshot().expect("store installed"),
+                )
+            });
+            fair_tiles::cache::uninstall();
+            (ests, after.hits - before.hits, after.misses - before.misses)
+        };
+        let (batched, hits, misses) = warm_run(&|| best_of(&library, &payoff, trials, seed).0);
+        let (single, single_hits, single_misses) = warm_run(&|| {
+            (0..3)
+                .map(|i| estimate(&library[i], &payoff, trials, seed_of(i as u64)))
+                .collect()
+        });
+        // Nine full tiles looked up, three of them stored.
+        assert_eq!((hits, misses), (3, 6));
+        assert_eq!((hits, misses), (single_hits, single_misses));
+        for ests in [&batched, &single] {
+            for (warm, fresh) in ests.iter().zip(&cold) {
+                assert_eq!(warm.event_counts, fresh.event_counts);
+                assert_eq!(warm.mean.to_bits(), fresh.mean.to_bits());
+                assert_eq!(warm.ci.to_bits(), fresh.ci.to_bits());
+            }
+        }
+        assert_ne!(cold[0].event_counts, cold[2].event_counts);
+    }
+
+    #[test]
+    fn best_of_each_matches_one_best_of_per_library() {
+        let payoff = Payoff::standard();
+        let libraries = [(vec![Flip(20), Flip(80)], 5), (vec![Flip(60)], 9)];
+        let each = best_of_each(&libraries, &payoff, 100);
+        for ((library, seed), (ests, best)) in libraries.iter().zip(&each) {
+            let (alone, alone_best) = best_of(library, &payoff, 100, *seed);
+            assert_eq!(*best, alone_best);
+            for (a, b) in ests.iter().zip(&alone) {
+                assert_eq!(a.event_counts, b.event_counts);
+            }
+        }
+        // E00 pays γ00 > γ01 = 0 here, so the most-often-wrong scenario wins.
+        assert_eq!(each[0].1, 0);
     }
 
     #[test]

@@ -92,8 +92,9 @@ pub fn deal<R: Rng + ?Sized>(secret: &[Fp], rng: &mut R) -> (AuthShareHolding, A
     let mut payload = secret.to_vec();
     payload.push(k1.tag_elems(secret).0);
     payload.push(k2.tag_elems(secret).0);
-    let shares = additive_share_vec(&payload, 2, rng);
-    let (s1, s2) = (shares[0].clone(), shares[1].clone());
+    let [s1, s2]: [Vec<Fp>; 2] = additive_share_vec(&payload, 2, rng)
+        .try_into()
+        .expect("two summand vectors");
     let h1 = AuthShareHolding {
         share: AuthShare {
             summand_tag: k2.tag_elems(&s1),

@@ -62,7 +62,7 @@ pub fn additive_reconstruct(shares: &[Fp]) -> Fp {
 /// Splits each element of `secret` into `n` additive shares; returns one
 /// vector share per party.
 pub fn additive_share_vec<R: Rng + ?Sized>(secret: &[Fp], n: usize, rng: &mut R) -> Vec<Vec<Fp>> {
-    let mut out = vec![Vec::with_capacity(secret.len()); n];
+    let mut out: Vec<Vec<Fp>> = (0..n).map(|_| Vec::with_capacity(secret.len())).collect();
     for &s in secret {
         for (p, sh) in additive_share(s, n, rng).into_iter().enumerate() {
             out[p].push(sh);

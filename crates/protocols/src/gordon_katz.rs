@@ -342,11 +342,11 @@ impl Party<GkMsg> for GkParty {
         if self.out.is_some() {
             return Vec::new();
         }
-        let mut sfe: Option<SfeMsg> = None;
+        let mut sfe: Option<&SfeMsg> = None;
         for e in inbox {
             match &e.msg {
                 GkMsg::Sfe(s) if matches!(e.from, fair_runtime::Endpoint::Func(_)) => {
-                    sfe = Some(s.clone());
+                    sfe = Some(s);
                 }
                 GkMsg::AShare(i, s)
                     if self.me == 1
@@ -365,11 +365,11 @@ impl Party<GkMsg> for GkParty {
                 _ => {}
             }
         }
-        let mut msgs = self.dispatch(ctx, &sfe);
+        let mut msgs = self.dispatch(ctx, sfe);
         // A ShareGen output and the counterparty's first share can arrive
         // together; let the new phase consume the buffered share.
         if self.out.is_none() && self.pending.is_some() && matches!(self.phase, Phase::Exchanging) {
-            msgs.extend(self.dispatch(ctx, &None));
+            msgs.extend(self.dispatch(ctx, None));
         }
         msgs
     }
@@ -384,7 +384,7 @@ impl Party<GkMsg> for GkParty {
 }
 
 impl GkParty {
-    fn dispatch(&mut self, ctx: &RoundCtx, sfe: &Option<SfeMsg>) -> Vec<OutMsg<GkMsg>> {
+    fn dispatch(&mut self, ctx: &RoundCtx, sfe: Option<&SfeMsg>) -> Vec<OutMsg<GkMsg>> {
         match &self.phase {
             Phase::AwaitShareGen => {
                 if ctx.round == 0 {

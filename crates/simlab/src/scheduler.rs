@@ -70,8 +70,8 @@ pub fn with_jobs<T>(jobs: usize, f: impl FnOnce() -> T) -> T {
 /// Maps `f` over the fixed tiling of `[0, total)` and returns the per-tile
 /// results in tile order. `f` receives the half-open index range of one
 /// tile. Sequential when the effective job count is 1 (the same tiling and
-/// merge path — `--jobs 1` exercises identical code), sharded across a
-/// `std::thread::scope` otherwise.
+/// merge path — `--jobs 1` exercises identical code), sharded across the
+/// calling thread and `jobs − 1` `std::thread::scope` workers otherwise.
 pub fn run_tiled<T, F>(total: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -100,31 +100,35 @@ where
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
     thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        mine.push((i, f(i)));
-                    }
-                    mine
-                })
-            })
+        // The calling thread is one of the `jobs` workers.
+        let handles: Vec<_> = (1..jobs)
+            .map(|_| scope.spawn(|| claim(&next, count, &f)))
             .collect();
-        for handle in handles {
-            for (i, result) in handle.join().expect("simlab worker panicked") {
-                slots[i] = Some(result);
-            }
+        let own = claim(&next, count, &f);
+        let joined = handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("simlab worker panicked"));
+        for (i, result) in own.into_iter().chain(joined) {
+            slots[i] = Some(result);
         }
     });
     slots
         .into_iter()
         .map(|s| s.expect("every index computed"))
         .collect()
+}
+
+/// One worker's loop: claims indices from `next` until `count` and
+/// returns its `(index, result)` pairs.
+fn claim<T, F: Fn(usize) -> T>(next: &AtomicUsize, count: usize, f: &F) -> Vec<(usize, T)> {
+    let mut mine = Vec::new();
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= count {
+            return mine;
+        }
+        mine.push((i, f(i)));
+    }
 }
 
 #[cfg(test)]
