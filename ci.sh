@@ -39,10 +39,14 @@ cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 echo "== cargo test (every workspace member)"
 cargo test -q --workspace
 
-echo "== cargo test --release fair-crypto (unsafe SHA-NI kernel, optimized codegen)"
-# The SHA-NI module is the crate's unsafe code: run its FIPS vectors and
-# portable-vs-accelerated differential under release codegen too.
+echo "== cargo test --release fair-crypto + sha256 pins (unsafe SHA-NI and AVX-512 kernels, optimized codegen)"
+# The SIMD module (SHA-NI block compress, sixteen-lane AVX-512 hash of
+# 32-byte inputs) is the crate's unsafe code: run its FIPS vectors and
+# portable-vs-accelerated differentials under release codegen too, then
+# the pinned Lamport and contract-signing block counts through the
+# optimized batch path.
 cargo test --release -q -p fair-crypto
+cargo test --release -q -p fair-bench --test sha256_pins
 
 echo "== fair-trace selfcheck (record + replay + diff)"
 ./target/release/fair-trace record exp_coin_toss --trials 80 --sample 3 > /tmp/fair_trace_recorded.txt

@@ -6,23 +6,29 @@
 //!
 //! * [`sha256`] — SHA-256 (FIPS 180-4), the base hash. Blocks are
 //!   compressed with the x86_64 SHA extensions (SHA-NI) when the CPU has
-//!   them and by portable Rust otherwise, with identical output.
+//!   them and by portable Rust otherwise, and batches of 32-byte inputs
+//!   are hashed sixteen at a time with AVX-512 where the CPU has it, all
+//!   with identical output.
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104/4231).
 //! * [`prg`] — counter-mode PRG and uniform field-element sampling.
 //! * [`commit`] — hash commitments (used by the contract-signing protocols
 //!   Π1/Π2 and the coin toss of the paper's introduction).
-//! * [`sign`] — Lamport one-time signatures (used by the multi-party
-//!   functionality of Appendix B to authenticate the designated output).
+//! * [`sign`] — Lamport one-time signatures (the signed contracts of Π1/Π2,
+//!   and the multi-party functionality of Appendix B authenticating the
+//!   designated output).
 //! * [`mac`] — information-theoretic one-time polynomial MAC over
 //!   GF(2^61 − 1).
 //! * [`share`] — additive and Shamir secret sharing.
 //! * [`authshare`] — the authenticated two-out-of-two sharing of Appendix A,
 //!   on which Π^Opt_2SFE's reconstruction phase is built.
 //!
-//! The crate holds no `#![forbid(unsafe_code)]`: the SHA-NI kernel needs
-//! `core::arch` intrinsics, so the private `sha256::shani` module carries a
-//! module-scoped `#[allow(unsafe_code)]` (fairlint rule R2 lists the crate).
-//! Every other module stays under the workspace `unsafe_code = "deny"` lint.
+//! The crate holds no `#![forbid(unsafe_code)]`: its two SIMD kernels —
+//! the SHA-NI block compress and the sixteen-lane AVX-512 hash of 32-byte
+//! inputs — need `core::arch` intrinsics. Both live in the private
+//! `sha256::shani` module, behind safe entry points that check the CPU
+//! features at run time, and only that module carries a module-scoped
+//! `#[allow(unsafe_code)]` (fairlint rule R2 lists the crate). Every other
+//! module stays under the workspace `unsafe_code = "deny"` lint.
 //!
 //! # Examples
 //!

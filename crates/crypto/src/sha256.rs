@@ -6,7 +6,9 @@
 //! against the FIPS/NIST test vectors in the unit tests. Each block is
 //! compressed with the x86_64 SHA extensions when the CPU has them (the
 //! private `shani` module, checked at run time) and by the portable rounds
-//! below otherwise; both give the same bits.
+//! below otherwise; both give the same bits. [`sha256_32_many`] hashes a
+//! batch of 32-byte inputs (Lamport preimages) sixteen at a time with the
+//! module's AVX-512 kernel where the CPU has it.
 
 use std::cell::Cell;
 
@@ -197,6 +199,58 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
+/// SHA-256 of each 32-byte input: `outs[i] = sha256(&ins[i])`.
+///
+/// A 32-byte input is exactly one padded block, so this compresses
+/// `ins.len()` blocks, as many separate [`sha256`] calls would. Full
+/// groups of sixteen go through the AVX-512 kernel when the CPU has it;
+/// the rest, or every input on a CPU without it, one block at a time
+/// through the dispatching compress.
+///
+/// # Panics
+///
+/// If `ins` and `outs` differ in length.
+///
+/// # Examples
+///
+/// ```
+/// use fair_crypto::sha256::{sha256, sha256_32_many};
+///
+/// let ins = [[1u8; 32], [2u8; 32]];
+/// let mut outs = [[0u8; 32]; 2];
+/// sha256_32_many(&ins, &mut outs);
+/// assert_eq!(outs[1], sha256(&[2u8; 32]));
+/// ```
+pub fn sha256_32_many(ins: &[[u8; 32]], outs: &mut [Digest]) {
+    assert_eq!(ins.len(), outs.len(), "one output digest per input");
+    let mut done = 0;
+    for (i, o) in ins.chunks_exact(16).zip(outs.chunks_exact_mut(16)) {
+        let (i, o) = (
+            i.try_into().expect("16 inputs"),
+            o.try_into().expect("16 outputs"),
+        );
+        if !shani::try_hash32_x16(i, o) {
+            break;
+        }
+        COMPRESSIONS.with(|c| c.set(c.get() + 16));
+        done += 16;
+    }
+    for (i, o) in ins[done..].iter().zip(&mut outs[done..]) {
+        *o = sha256_32(i);
+    }
+}
+
+/// SHA-256 of one 32-byte input: one padded block through [`compress`].
+fn sha256_32(input: &[u8; 32]) -> Digest {
+    let mut block = [0u8; 64];
+    block[..32].copy_from_slice(input);
+    block[32] = 0x80;
+    block[56..].copy_from_slice(&256u64.to_be_bytes());
+    let mut state = H0;
+    compress(&mut state, &block);
+    state_bytes(&state)
+}
+
 /// One-shot SHA-256 over the concatenation of several byte strings, with
 /// length-prefixing so that `(a, b)` and `(a', b')` never collide unless the
 /// parts are equal ("domain-separated tuple hash").
@@ -300,11 +354,29 @@ mod tests {
             let state: [u32; 8] = state.try_into().unwrap();
             let block: [u8; 64] = block.try_into().unwrap();
             let mut fast = state;
-            // No SHA-NI on this CPU: the dispatch never leaves the portable path.
+            // Compared only when the SHA-NI kernel ran: `try_compress`
+            // returns false, leaving `fast` untouched, on a CPU without it.
             if shani::try_compress(&mut fast, &block) {
                 let mut slow = state;
                 compress_portable(&mut slow, &block);
                 prop_assert_eq!(fast, slow);
+            }
+        }
+
+        #[test]
+        fn prop_batch_of_32_byte_inputs_matches_sha256(
+            len in 0usize..40,
+            bytes in proptest::collection::vec(any::<u8>(), 40 * 32..40 * 32 + 1),
+        ) {
+            let ins: Vec<[u8; 32]> = bytes
+                .chunks_exact(32)
+                .take(len)
+                .map(|c| c.try_into().unwrap())
+                .collect();
+            let mut outs = vec![[0u8; 32]; len];
+            sha256_32_many(&ins, &mut outs);
+            for (i, o) in ins.iter().zip(&outs) {
+                prop_assert_eq!(*o, sha256(i));
             }
         }
 
@@ -321,6 +393,57 @@ mod tests {
             let data: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
             prop_assert_eq!(sha256(&data), oracle(&data));
         }
+    }
+
+    /// `n` distinct 32-byte inputs.
+    fn inputs_32(n: usize) -> Vec<[u8; 32]> {
+        (0..n)
+            .map(|i| core::array::from_fn(|j| (i * 131 + j * 7 + 1) as u8))
+            .collect()
+    }
+
+    #[test]
+    fn batch_of_32_byte_inputs_matches_sha256_at_chunk_boundaries() {
+        // Empty, a remainder alone, one full chunk of 16, chunk plus
+        // remainder, and a Lamport key's 512 preimages.
+        for n in [0, 1, 15, 16, 17, 31, 33, 512] {
+            let ins = inputs_32(n);
+            let mut outs = vec![[0u8; 32]; n];
+            let before = compressions();
+            sha256_32_many(&ins, &mut outs);
+            assert_eq!(compressions() - before, n as u64, "n = {n}");
+            for (i, (x, o)) in ins.iter().zip(&outs).enumerate() {
+                assert_eq!(*o, sha256(x), "n = {n}, input {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_block_path_matches_oracle() {
+        // The path every input takes on a CPU without AVX-512, and the
+        // batch remainder takes everywhere.
+        for x in inputs_32(64) {
+            assert_eq!(sha256_32(&x), oracle(&x));
+        }
+    }
+
+    #[test]
+    fn sixteen_lane_kernel_matches_oracle_in_every_lane() {
+        let ins: [[u8; 32]; 16] = inputs_32(16).try_into().unwrap();
+        let mut outs = [[0u8; 32]; 16];
+        // Compared only when the AVX-512 kernel ran: `try_hash32_x16`
+        // returns false, leaving `outs` untouched, on a CPU without it.
+        if shani::try_hash32_x16(&ins, &mut outs) {
+            for (lane, (x, o)) in ins.iter().zip(&outs).enumerate() {
+                assert_eq!(*o, oracle(x), "lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one output digest per input")]
+    fn batch_rejects_mismatched_lengths() {
+        sha256_32_many(&inputs_32(2), &mut [[0u8; 32]; 3]);
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! Lamport one-time signatures over SHA-256.
 //!
-//! The multi-party protocol Π^Opt_nSFE (paper, Appendix B) has the hybrid
-//! functionality sign the designated output `(y, σ)` so that in the
-//! broadcast phase no coalition can announce a forged output. One signature
-//! per execution is exactly the one-time setting Lamport signatures are made
-//! for, and they are existentially unforgeable assuming only the preimage
-//! resistance of SHA-256 — no number theory required.
+//! Two protocols sign with them. In the contract-signing pair Π1/Π2 of the
+//! paper's introduction (experiment E1) each party signs the contract once
+//! and checks the other's signature. In the multi-party protocol
+//! Π^Opt_nSFE (paper, Appendix B) the hybrid functionality signs the
+//! designated output `(y, σ)` so that in the broadcast phase no coalition
+//! can announce a forged output. One signature per key is exactly the
+//! one-time setting Lamport signatures are made for, and they are
+//! existentially unforgeable assuming only the preimage resistance of
+//! SHA-256 — no number theory required.
 //!
 //! Messages of arbitrary length are first hashed to 256 bits; the signature
-//! reveals one of two 32-byte preimages per message-hash bit.
+//! reveals one of two 32-byte preimages per message-hash bit. Key
+//! generation and verification hash their 32-byte preimages as one batch
+//! ([`sha256_32_many`]).
 
 use rand::Rng;
 
 use crate::ct::{ct_eq_bytes, CtEq};
-use crate::sha256::{sha256, sha256_parts, Digest, DIGEST_LEN};
+use crate::sha256::{sha256_32_many, sha256_parts, Digest, DIGEST_LEN};
 
 const BITS: usize = 256;
 
@@ -163,10 +168,8 @@ pub fn keygen<R: Rng + ?Sized>(rng: &mut R) -> (SigningKey, VerifyingKey) {
     // (bit 1: s0, s1), … — the same bytes 512 separate 32-byte draws give.
     let mut secrets = vec![[[0u8; DIGEST_LEN]; 2]; BITS];
     rng.fill_bytes(secrets.as_flattened_mut().as_flattened_mut());
-    let hashes = secrets
-        .iter()
-        .map(|[s0, s1]| [sha256(s0), sha256(s1)])
-        .collect();
+    let mut hashes = vec![[[0u8; DIGEST_LEN]; 2]; BITS];
+    sha256_32_many(secrets.as_flattened(), hashes.as_flattened_mut());
     (SigningKey { secrets }, VerifyingKey { hashes })
 }
 
@@ -194,21 +197,18 @@ pub fn sign(key: &SigningKey, message: &[u8]) -> Signature {
 
 /// Verifies `signature` on `message` under `key`.
 ///
-/// Every bit position is checked unconditionally — the loop never exits
-/// early on the first bad preimage, so verification time does not reveal
-/// which reveal a forger got wrong.
+/// Every bit position is hashed and checked unconditionally — the loop
+/// never exits early on the first bad preimage, so verification time does
+/// not reveal which reveal a forger got wrong.
 pub fn verify(key: &VerifyingKey, message: &[u8], signature: &Signature) -> bool {
     if signature.reveals.len() != BITS {
         return false;
     }
+    let mut digests = [[0u8; DIGEST_LEN]; BITS];
+    sha256_32_many(&signature.reveals, &mut digests);
     let mut ok = true;
-    for ((reveal, pair), b) in signature
-        .reveals
-        .iter()
-        .zip(&key.hashes)
-        .zip(message_bits(message))
-    {
-        ok &= ct_eq_bytes(&sha256(reveal), &pair[b]);
+    for ((digest, pair), b) in digests.iter().zip(&key.hashes).zip(message_bits(message)) {
+        ok &= ct_eq_bytes(digest, &pair[b]);
     }
     ok
 }
@@ -254,12 +254,31 @@ mod tests {
     }
 
     #[test]
+    fn tampering_at_batch_lane_boundaries_is_rejected() {
+        // Verification hashes the reveals sixteen at a time: the first and
+        // last lanes of the first chunk, the first of the second, and the
+        // very last reveal.
+        let mut rng = StdRng::seed_from_u64(18);
+        let (sk, vk) = keygen(&mut rng);
+        let sig = sign(&sk, b"msg");
+        assert!(verify(&vk, b"msg", &sig));
+        for i in [0, 15, 16, 255] {
+            let mut bad = sig.clone();
+            bad.reveals[i][31] ^= 0x80;
+            assert!(!verify(&vk, b"msg", &bad), "reveal {i}");
+        }
+    }
+
+    #[test]
     fn truncated_signature_rejected() {
         let mut rng = StdRng::seed_from_u64(14);
         let (sk, vk) = keygen(&mut rng);
         let mut sig = sign(&sk, b"msg");
         sig.reveals.pop();
+        // Rejected on length alone, before any reveal is hashed.
+        let before = crate::sha256::compressions();
         assert!(!verify(&vk, b"msg", &sig));
+        assert_eq!(crate::sha256::compressions(), before);
     }
 
     #[test]
