@@ -7,9 +7,8 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc::Sender;
 use std::time::Instant;
 
-use fair_core::progressive::Update;
 use fair_simlab::metrics::{self, fmt_ns};
-use fair_simlab::{AdaptiveSummary, ExpRecord, ReportRecord, SuiteRecord};
+use fair_simlab::{AdaptiveSummary, ExpRecord, ProgressUpdate, ReportRecord, SuiteRecord};
 
 /// Where per-experiment records are persisted, relative to the working
 /// directory.
@@ -37,18 +36,9 @@ pub(crate) fn run_adaptive(
     trials: usize,
     seed: u64,
     epsilon: f64,
-    progress: Option<Sender<Update>>,
+    progress: Option<Sender<ProgressUpdate>>,
 ) -> (Option<ReportRecord>, AdaptiveSummary) {
-    let (report, summary) =
-        fair_core::progressive::scoped(epsilon, progress, || run_grouped(id, trials, seed));
-    let adaptive = AdaptiveSummary {
-        epsilon,
-        estimates: summary.estimates,
-        early_stops: summary.early_stops,
-        trials_requested: summary.trials_requested,
-        trials_used: summary.trials_used,
-    };
-    (report, adaptive)
+    fair_core::progressive::scoped(epsilon, progress, || run_grouped(id, trials, seed))
 }
 
 /// Runs one experiment with metrics collection enabled — both simlab's

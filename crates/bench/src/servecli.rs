@@ -12,8 +12,9 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use fair_serve::service::Backend;
-use fair_serve::{client, Conn, HttpReply, ProgressUpdate};
+use fair_serve::{client, Conn, HttpReply};
 use fair_simlab::json::{self, Json};
+use fair_simlab::ProgressUpdate;
 use fair_trace::QuantileSummary;
 
 /// Where `fair-load` persists its run record by default.
@@ -75,14 +76,7 @@ pub fn progressive_result(
         // Relay frames while the worker runs; the channel closes when the
         // scoped context (and its Sender) drops.
         for update in rx {
-            emit(ProgressUpdate {
-                scenario: update.scenario,
-                requested: update.requested,
-                trials: update.trials,
-                mean: update.mean,
-                ci: update.ci,
-                done: update.done,
-            });
+            emit(update);
         }
         worker.join().unwrap_or((None, Default::default()))
     });

@@ -3,17 +3,17 @@
 //! An adaptive run trades a fixed trial budget for a precision target: the
 //! estimator keeps executing tile batches until the 95% confidence
 //! half-width drops to `epsilon` (or the budget runs out), emitting a
-//! running [`Update`] after every batch. The stop rule is a pure function
-//! of the integer tallies, so adaptive results are bit-identical for every
-//! worker count — exactly like fixed-budget ones.
+//! running [`ProgressUpdate`] after every batch. The stop rule is a pure
+//! function of the integer tallies, so adaptive results are bit-identical
+//! for every worker count — exactly like fixed-budget ones.
 //!
 //! The context travels thread-locally: [`scoped`] arms the calling thread
 //! with an epsilon (and an optional live-update channel), runs a closure —
 //! typically a whole experiment making many [`crate::estimate`] calls —
-//! and returns the closure's value together with an aggregated [`Summary`]
-//! of trials used versus requested. `estimate` checks the ambient context
-//! and diverts to its chunked adaptive path when one is armed; with no
-//! context armed, nothing changes.
+//! and returns the closure's value together with an aggregated
+//! [`AdaptiveSummary`] of trials used versus requested. `estimate` checks
+//! the ambient context and diverts to its chunked adaptive path when one
+//! is armed; with no context armed, nothing changes.
 //!
 //! Updates cross threads through an `mpsc` channel rather than a callback
 //! so the consumer (e.g. the serve streaming endpoint, which must write
@@ -23,40 +23,12 @@
 use std::cell::RefCell;
 use std::sync::mpsc::Sender;
 
-/// One progress frame: the running estimate after a tile batch.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Update {
-    /// Scenario name of the `estimate()` call reporting.
-    pub scenario: String,
-    /// Trials the call was asked for.
-    pub requested: usize,
-    /// Trials tallied so far.
-    pub trials: usize,
-    /// Running mean payoff.
-    pub mean: f64,
-    /// Running 95% confidence half-width.
-    pub ci: f64,
-    /// Whether this is the call's final frame (converged or exhausted).
-    pub done: bool,
-}
-
-/// Aggregated adaptive accounting over a [`scoped`] region.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Summary {
-    /// `estimate()` calls that ran adaptively.
-    pub estimates: u64,
-    /// Calls that stopped before exhausting their budget.
-    pub early_stops: u64,
-    /// Total trials requested.
-    pub trials_requested: u64,
-    /// Total trials executed.
-    pub trials_used: u64,
-}
+use fair_simlab::{AdaptiveSummary, ProgressUpdate};
 
 struct Ctx {
-    epsilon: f64,
-    tx: Option<Sender<Update>>,
-    summary: Summary,
+    tx: Option<Sender<ProgressUpdate>>,
+    /// The accounting so far; its `epsilon` is the armed target.
+    summary: AdaptiveSummary,
 }
 
 thread_local! {
@@ -68,7 +40,11 @@ thread_local! {
 /// to `tx` when provided (send failures are ignored — a hung-up consumer
 /// must not stop the computation). Scopes restore the previous context on
 /// exit, including unwinds.
-pub fn scoped<T>(epsilon: f64, tx: Option<Sender<Update>>, f: impl FnOnce() -> T) -> (T, Summary) {
+pub fn scoped<T>(
+    epsilon: f64,
+    tx: Option<Sender<ProgressUpdate>>,
+    f: impl FnOnce() -> T,
+) -> (T, AdaptiveSummary) {
     struct Restore(Option<Ctx>);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -77,9 +53,11 @@ pub fn scoped<T>(epsilon: f64, tx: Option<Sender<Update>>, f: impl FnOnce() -> T
     }
     let prev = CTX.with(|c| {
         c.borrow_mut().replace(Ctx {
-            epsilon,
             tx,
-            summary: Summary::default(),
+            summary: AdaptiveSummary {
+                epsilon,
+                ..AdaptiveSummary::default()
+            },
         })
     });
     let mut restore = Restore(prev);
@@ -96,11 +74,11 @@ pub fn scoped<T>(epsilon: f64, tx: Option<Sender<Update>>, f: impl FnOnce() -> T
 
 /// The armed epsilon, if adaptive estimation is active on this thread.
 pub(crate) fn epsilon() -> Option<f64> {
-    CTX.with(|c| c.borrow().as_ref().map(|ctx| ctx.epsilon))
+    CTX.with(|c| c.borrow().as_ref().map(|ctx| ctx.summary.epsilon))
 }
 
 /// Emits a progress frame to the armed channel (no-op otherwise).
-pub(crate) fn emit(update: Update) {
+pub(crate) fn emit(update: ProgressUpdate) {
     CTX.with(|c| {
         if let Some(Ctx { tx: Some(tx), .. }) = c.borrow().as_ref() {
             let _ = tx.send(update);
@@ -127,7 +105,7 @@ mod tests {
     #[test]
     fn unarmed_thread_has_no_context() {
         assert_eq!(epsilon(), None);
-        emit(Update {
+        emit(ProgressUpdate {
             scenario: "x".into(),
             requested: 1,
             trials: 1,
@@ -160,7 +138,7 @@ mod tests {
     fn frames_cross_the_channel() {
         let (tx, rx) = std::sync::mpsc::channel();
         let ((), _) = scoped(0.1, Some(tx), || {
-            emit(Update {
+            emit(ProgressUpdate {
                 scenario: "s".into(),
                 requested: 100,
                 trials: 64,

@@ -327,7 +327,7 @@ fn estimate_adaptive<S: Scenario + Sync>(
         let exhausted = next >= total_tiles;
         let converged = est.trials >= ADAPTIVE_MIN_TRIALS && est.ci <= epsilon;
         let done = exhausted || converged;
-        crate::progressive::emit(crate::progressive::Update {
+        crate::progressive::emit(fair_simlab::ProgressUpdate {
             scenario: job.name.clone(),
             requested: trials,
             trials: est.trials,

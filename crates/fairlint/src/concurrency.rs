@@ -30,7 +30,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::graph::{extract_calls, find_tokens, Graph, LineIndex};
 use crate::items;
 use crate::workspace::Workspace;
@@ -143,13 +143,9 @@ fn scan_function(
         }
     }
     for call in extract_calls(body, base) {
-        // One call deep: only unambiguously resolved edges whose target
-        // blocks matter for C1.
+        // One call deep: only edges whose target blocks matter for C1.
         for e in g.callees(si) {
-            if e.certain
-                && lines.line_of(call.off) == e.line
-                && !g.symbols[e.to].blocking.is_empty()
-            {
+            if lines.line_of(call.off) == e.line && !g.symbols[e.to].blocking.is_empty() {
                 events.push((call.off, Ev::Call(e.to)));
             }
         }
@@ -258,7 +254,6 @@ fn scan_function(
 fn c1_diag(rel: String, line: usize, message: String) -> Diagnostic {
     Diagnostic {
         rule: "C1",
-        severity: Severity::Error,
         rel,
         line,
         message,
@@ -527,7 +522,6 @@ fn check_c2(order: &[OrderObs], out: &mut Vec<Diagnostic>) {
         });
         out.push(Diagnostic {
             rule: "C2",
-            severity: Severity::Error,
             rel: o.rel.clone(),
             line: o.line,
             message: format!(
@@ -551,12 +545,11 @@ fn check_c3(ws: &Workspace, g: &Graph, out: &mut Vec<Diagnostic>) {
         }
         let mut reported: BTreeSet<(usize, String)> = BTreeSet::new();
         let mut visited: BTreeSet<usize> = BTreeSet::new();
-        // (symbol, depth, call line in the root, via-chain). Only
-        // certain edges: an ambiguous method name (trait dispatch)
-        // would flag every impl's internal asserts.
+        // (symbol, depth, call line in the root, via-chain). The graph
+        // has no edge for an ambiguous method name (trait dispatch),
+        // which would flag every impl's internal asserts.
         let mut frontier: Vec<(usize, usize, usize, Vec<String>)> = g
             .callees(si)
-            .filter(|e| e.certain)
             .map(|e| (e.to, 1usize, e.line, Vec::new()))
             .collect();
         while let Some((ti, depth, line, via)) = frontier.pop() {
@@ -573,7 +566,6 @@ fn check_c3(ws: &Workspace, g: &Graph, out: &mut Vec<Diagnostic>) {
                     };
                     out.push(Diagnostic {
                         rule: "C3",
-                        severity: Severity::Error,
                         rel: sym.item.rel.clone(),
                         line,
                         message: format!(
@@ -588,7 +580,7 @@ fn check_c3(ws: &Workspace, g: &Graph, out: &mut Vec<Diagnostic>) {
             if depth < depth_limit && visited.insert(ti) {
                 let mut via2 = via.clone();
                 via2.push(t.item.qname.clone());
-                for e in g.callees(ti).filter(|e| e.certain) {
+                for e in g.callees(ti) {
                     frontier.push((e.to, depth + 1, line, via2.clone()));
                 }
             }

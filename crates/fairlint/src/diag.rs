@@ -2,33 +2,12 @@
 //! line-oriented JSON, both hand-rolled — the crate has no external
 //! dependencies).
 
-/// How bad a finding is. Everything fairlint enforces today is an
-/// error under `--strict`; the distinction is kept for output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Informational only.
-    Warning,
-    /// Fails `--strict`.
-    Error,
-}
-
-impl Severity {
-    /// Lowercase label for rendering.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
-/// One finding, anchored to a file and line.
+/// One finding, anchored to a file and line. Every finding is an error:
+/// it fails `--strict`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Rule id (`D1`, `S2`, …).
     pub rule: &'static str,
-    /// Severity.
-    pub severity: Severity,
     /// Workspace-relative path.
     pub rel: String,
     /// 1-based line.
@@ -41,21 +20,16 @@ impl Diagnostic {
     /// `path:line: error[D1] message` — the human-readable form.
     pub fn render(&self) -> String {
         format!(
-            "{}:{}: {}[{}] {}",
-            self.rel,
-            self.line,
-            self.severity.label(),
-            self.rule,
-            self.message
+            "{}:{}: error[{}] {}",
+            self.rel, self.line, self.rule, self.message
         )
     }
 
     /// One JSON object for the machine-readable report.
     pub fn render_json(&self) -> String {
         format!(
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
+            "{{\"rule\":\"{}\",\"severity\":\"error\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
             self.rule,
-            self.severity.label(),
             json_escape(&self.rel),
             self.line,
             json_escape(&self.message)
@@ -97,7 +71,6 @@ mod tests {
     fn d() -> Diagnostic {
         Diagnostic {
             rule: "D1",
-            severity: Severity::Error,
             rel: "crates/core/src/utility.rs".into(),
             line: 42,
             message: "wall-clock read `Instant::now` inside the determinism boundary".into(),

@@ -3,21 +3,18 @@
 //! Built once per workspace: every non-test `fn` item becomes a
 //! [`Symbol`] carrying per-function facts (panic sites, blocking-call
 //! sites), and a syntactic call-edge extractor links call sites to the
-//! workspace functions they can reach. Resolution is deliberately an
-//! over-approximation — a method call links to every same-named
-//! workspace method — because the concurrency rules built on top (C1,
-//! C3) want "could this reach a blocking/panicking function?" rather
-//! than exact dispatch. Names that are ubiquitous on std types
-//! (`clone`, `len`, `get`, …) are excluded from method resolution to
-//! keep the noise floor near zero.
+//! workspace functions they reach, nearest scope first (same file, then
+//! same crate, then any). A call site that still has several candidates
+//! (possible trait dispatch) adds no edge: the concurrency rules built
+//! on top (C1, C3) would otherwise flag every impl's internals. Names
+//! that are ubiquitous on std types (`clone`, `len`, `get`, …) are
+//! excluded from method resolution to keep the noise floor near zero.
 //!
 //! Everything is deterministically ordered: symbols sort by
-//! `(qname, path, line)`, edges by `(from, line, to)`, and the JSON and
-//! DOT renderings are byte-identical across runs.
+//! `(qname, path, line)`, edges by `(from, line, to)`.
 
 use std::collections::BTreeMap;
 
-use crate::diag::json_escape;
 use crate::items::{self, extract_fns, FnItem};
 use crate::workspace::Workspace;
 
@@ -43,7 +40,8 @@ pub struct Symbol {
     pub blocking: Vec<Fact>,
 }
 
-/// One call edge, resolved to a workspace symbol.
+/// One call edge, from a call site that resolved to exactly one
+/// workspace symbol.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Edge {
     /// Caller index into [`Graph::symbols`].
@@ -52,11 +50,6 @@ pub struct Edge {
     pub line: usize,
     /// Callee index into [`Graph::symbols`].
     pub to: usize,
-    /// Whether the call site resolved to exactly one candidate. An
-    /// uncertain edge models possible trait dispatch (a method name with
-    /// several workspace impls); the concurrency rules only follow
-    /// certain edges, while the exported graph keeps both.
-    pub certain: bool,
 }
 
 /// The workspace call graph.
@@ -546,24 +539,21 @@ pub fn build(ws: &Workspace) -> Graph {
         let lines = &line_index[sym.item.rel.as_str()];
         let body = sym.item.body(&f.text);
         for call in extract_calls(body, sym.item.body_start + 1) {
-            let targets = resolve(&call.kind, sym, &symbols, &by_name, ws);
-            let certain = targets.len() == 1;
-            for to in targets {
+            // Several candidates model possible trait dispatch, which
+            // the rules do not follow: no edge.
+            if let [to] = resolve(&call.kind, sym, &symbols, &by_name, ws)[..] {
                 if to != si {
                     edges.push(Edge {
                         from: si,
                         line: lines.line_of(call.off),
                         to,
-                        certain,
                     });
                 }
             }
         }
     }
-    // Certain edges sort first, so the dedup keeps an edge certain if
-    // any resolution of that (from, line, to) triple was unambiguous.
-    edges.sort_by_key(|e| (e.from, e.line, e.to, !e.certain));
-    edges.dedup_by(|b, a| (a.from, a.line, a.to) == (b.from, b.line, b.to));
+    edges.sort();
+    edges.dedup();
     Graph { symbols, edges }
 }
 
@@ -589,7 +579,7 @@ fn resolve(
             // Nearest scope wins, mirroring bare calls: a method defined
             // in the caller's file (or crate) shadows same-named methods
             // elsewhere; only without a local candidate do all impls
-            // remain (possible trait dispatch — an uncertain edge).
+            // remain (possible trait dispatch, which adds no edge).
             for pick in [
                 methods
                     .iter()
@@ -687,96 +677,6 @@ fn qname_ends_with(qname: &str, segs: &[String]) -> bool {
             .all(|(a, b)| *a == b)
 }
 
-/// Renders the graph as deterministic, diff-friendly JSON.
-pub fn render_json(g: &Graph) -> String {
-    let mut out = String::from("{\"version\":1,\n\"crates\":[");
-    let mut crates: Vec<&str> = g
-        .symbols
-        .iter()
-        .filter_map(|s| s.item.krate.as_deref())
-        .collect();
-    crates.sort_unstable();
-    crates.dedup();
-    out.push_str(
-        &crates
-            .iter()
-            .map(|c| format!("\"{}\"", json_escape(c)))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push_str("],\n\"symbols\":[\n");
-    let facts = |fs: &[Fact]| {
-        fs.iter()
-            .map(|f| {
-                format!(
-                    "{{\"line\":{},\"what\":\"{}\"}}",
-                    f.line,
-                    json_escape(&f.what)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let syms: Vec<String> = g
-        .symbols
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            format!(
-                "{{\"id\":{},\"qname\":\"{}\",\"crate\":\"{}\",\"path\":\"{}\",\"line\":{},\"panics\":[{}],\"blocking\":[{}]}}",
-                i,
-                json_escape(&s.item.qname),
-                json_escape(s.item.krate.as_deref().unwrap_or("")),
-                json_escape(&s.item.rel),
-                s.item.line,
-                facts(&s.panics),
-                facts(&s.blocking),
-            )
-        })
-        .collect();
-    out.push_str(&syms.join(",\n"));
-    out.push_str("\n],\n\"edges\":[\n");
-    let edges: Vec<String> = g
-        .edges
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"from\":{},\"to\":{},\"line\":{},\"certain\":{}}}",
-                e.from, e.to, e.line, e.certain
-            )
-        })
-        .collect();
-    out.push_str(&edges.join(",\n"));
-    out.push_str("\n]}\n");
-    out
-}
-
-/// Renders the graph in Graphviz DOT form (nodes and deduped edges,
-/// both sorted).
-pub fn render_dot(g: &Graph) -> String {
-    let mut out = String::from("digraph fairlint {\n  rankdir=LR;\n");
-    for s in &g.symbols {
-        out.push_str(&format!("  \"{}\";\n", s.item.qname.replace('"', "'")));
-    }
-    // Certain first, so the dedup keeps a pair solid when any call site
-    // resolved it unambiguously; uncertain (trait-dispatch) edges render
-    // dashed.
-    let mut pairs: Vec<(usize, usize, bool)> =
-        g.edges.iter().map(|e| (e.from, e.to, !e.certain)).collect();
-    pairs.sort_unstable();
-    pairs.dedup_by_key(|&mut (from, to, _)| (from, to));
-    for (from, to, uncertain) in pairs {
-        out.push_str(&format!(
-            "  \"{}\" -> \"{}\"{};\n",
-            g.symbols[from].item.qname.replace('"', "'"),
-            g.symbols[to].item.qname.replace('"', "'"),
-            if uncertain { " [style=dashed]" } else { "" }
-        ));
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -861,10 +761,6 @@ mod tests {
         assert!(g.callees(caller).any(|e| e.to == risky), "crate:: resolves");
         // Both the `fair_a::` alias and the bare dir name resolve.
         assert_eq!(g.callees(cross).filter(|e| e.to == risky).count(), 2);
-        // Deterministic rendering: two builds, identical bytes.
-        let again = build(&ws);
-        assert_eq!(render_json(&g), render_json(&again));
-        assert_eq!(render_dot(&g), render_dot(&again));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

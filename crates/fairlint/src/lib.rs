@@ -31,24 +31,21 @@
 //! index and call graph** ([`items`], [`graph`]): a scope-aware item
 //! parser assigns every `fn` a qualified name
 //! (`crate::module::Type::method`), and a call-edge extractor links
-//! call sites to candidate definitions, marking an edge *certain* when
-//! it resolves to exactly one. Three concurrency-discipline rules
-//! ([`concurrency`]) traverse that graph: `C1` (no blocking operation
-//! while a `Mutex`/`RwLock` guard is live, directly or one certain
-//! call deep), `C2` (lock sites must be acquired in one consistent
-//! order workspace-wide), and `C3` (panic-free `S2` paths must not
-//! call workspace functions that can panic, transitively to a
-//! configured depth, modulo a proven-total allowlist). The graph
-//! itself exports via `--graph json|dot` with deterministic ordering,
-//! and `--baseline write|check` ([`baseline`]) ratchets adoption on a
-//! brownfield tree.
+//! call sites to their definitions, adding an edge only when a call
+//! resolves to exactly one (an ambiguous method name may be trait
+//! dispatch). Three concurrency-discipline rules ([`concurrency`])
+//! traverse that graph: `C1` (no blocking operation while a
+//! `Mutex`/`RwLock` guard is live, directly or one call deep), `C2`
+//! (lock sites must be acquired in one consistent order
+//! workspace-wide), and `C3` (panic-free `S2` paths must not call
+//! workspace functions that can panic, transitively to a configured
+//! depth, modulo a proven-total allowlist).
 //!
 //! Run `cargo run -p fairlint -- --list-rules` for the rule table and
 //! `--explain <RULE>` for any rule's rationale and suggested fix;
-//! `ci.sh` runs `--strict --baseline check` plus a graph-determinism
-//! gate on every push.
+//! `ci.sh` runs `--strict --json` twice on every push and requires an
+//! empty, byte-identical report.
 
-pub mod baseline;
 pub mod concurrency;
 pub mod config;
 pub mod diag;
@@ -60,7 +57,7 @@ pub mod source;
 pub mod workspace;
 
 pub use config::Config;
-pub use diag::{render_json_report, Diagnostic, Severity};
+pub use diag::{render_json_report, Diagnostic};
 pub use graph::Graph;
 pub use rules::{known_rule, RULES};
 pub use source::SourceFile;

@@ -4,14 +4,11 @@
 //!
 //! ```text
 //! fairlint [--root <dir>] [--strict] [--json] [--list-rules]
-//!          [--explain <RULE>] [--graph json|dot]
-//!          [--baseline write|check]
+//!          [--explain <RULE>]
 //! ```
 //!
-//! `--graph` prints the workspace call graph instead of diagnostics;
-//! `--explain` prints one rule's rationale and fix; `--baseline write`
-//! records current violations into `fairlint.baseline`, `--baseline
-//! check` subtracts them so only new findings count.
+//! `--json` prints the machine-readable report instead of text;
+//! `--explain` prints one rule's rationale and fix.
 //!
 //! Exit codes: 0 clean (or report-only run), 1 violations under
 //! `--strict`, 2 usage or I/O error.
@@ -19,19 +16,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fairlint::{baseline, graph, render_json_report, Workspace, RULES};
-
-#[derive(Clone, Copy, PartialEq)]
-enum GraphFormat {
-    Json,
-    Dot,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum BaselineMode {
-    Write,
-    Check,
-}
+use fairlint::{render_json_report, Workspace, RULES};
 
 struct Options {
     root: PathBuf,
@@ -39,12 +24,10 @@ struct Options {
     json: bool,
     list_rules: bool,
     explain: Option<String>,
-    graph: Option<GraphFormat>,
-    baseline: Option<BaselineMode>,
 }
 
-const USAGE: &str = "usage: fairlint [--root <dir>] [--strict] [--json] [--list-rules] \
-     [--explain <RULE>] [--graph json|dot] [--baseline write|check]";
+const USAGE: &str =
+    "usage: fairlint [--root <dir>] [--strict] [--json] [--list-rules] [--explain <RULE>]";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -53,8 +36,6 @@ fn parse_args() -> Result<Options, String> {
         json: false,
         list_rules: false,
         explain: None,
-        graph: None,
-        baseline: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -69,24 +50,6 @@ fn parse_args() -> Result<Options, String> {
             "--explain" => {
                 let v = args.next().ok_or("--explain needs a rule id (e.g. C1)")?;
                 opts.explain = Some(v);
-            }
-            "--graph" => {
-                let v = args.next().ok_or("--graph needs a format: json or dot")?;
-                opts.graph = Some(match v.as_str() {
-                    "json" => GraphFormat::Json,
-                    "dot" => GraphFormat::Dot,
-                    other => return Err(format!("unknown graph format `{other}` (json|dot)")),
-                });
-            }
-            "--baseline" => {
-                let v = args
-                    .next()
-                    .ok_or("--baseline needs a mode: write or check")?;
-                opts.baseline = Some(match v.as_str() {
-                    "write" => BaselineMode::Write,
-                    "check" => BaselineMode::Check,
-                    other => return Err(format!("unknown baseline mode `{other}` (write|check)")),
-                });
             }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -136,41 +99,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(format) = opts.graph {
-        let g = graph::build(&ws);
-        match format {
-            GraphFormat::Json => print!("{}", graph::render_json(&g)),
-            GraphFormat::Dot => print!("{}", graph::render_dot(&g)),
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let mut diags = ws.analyze();
-
-    match opts.baseline {
-        Some(BaselineMode::Write) => {
-            let path = opts.root.join(baseline::BASELINE_FILE);
-            if let Err(e) = std::fs::write(&path, baseline::render(&diags)) {
-                eprintln!("fairlint: cannot write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            println!(
-                "fairlint: wrote {} ({} violation(s) baselined)",
-                path.display(),
-                diags.len()
-            );
-            return ExitCode::SUCCESS;
-        }
-        Some(BaselineMode::Check) => {
-            let path = opts.root.join(baseline::BASELINE_FILE);
-            let base = match std::fs::read_to_string(&path) {
-                Ok(src) => baseline::parse(&src),
-                Err(_) => baseline::Baseline::new(),
-            };
-            diags = baseline::filter(diags, &base);
-        }
-        None => {}
-    }
+    let diags = ws.analyze();
 
     if opts.json {
         println!("{}", render_json_report(&diags));

@@ -3,7 +3,7 @@
 //! registry below is the single source of truth for ids shown by
 //! `--list-rules` and accepted by `fairlint::allow(...)`.
 
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::source::SourceFile;
 use crate::workspace::Workspace;
 
@@ -147,7 +147,6 @@ pub fn check_all(ws: &Workspace) -> Vec<Diagnostic> {
 fn err(rule: &'static str, f: &SourceFile, line: usize, message: String) -> Diagnostic {
     Diagnostic {
         rule,
-        severity: Severity::Error,
         rel: f.rel.clone(),
         line,
         message,
@@ -498,7 +497,6 @@ fn check_r5(ws: &Workspace, out: &mut Vec<Diagnostic>) {
         if !scoped(member) {
             out.push(Diagnostic {
                 rule: "R5",
-                severity: Severity::Error,
                 rel: "Cargo.toml".to_string(),
                 line: ws.members_line,
                 message: format!(
@@ -627,10 +625,8 @@ mod tests {
     fn diagnostic_order_is_total() {
         // Same (path, line, rule) still orders deterministically via the
         // message tiebreak, so shuffled inputs sort identically.
-        use crate::diag::Severity;
         let mk = |line: usize, rule: &'static str, msg: &str| Diagnostic {
             rule,
-            severity: Severity::Error,
             rel: "a.rs".to_string(),
             line,
             message: msg.to_string(),

@@ -63,5 +63,5 @@ pub use cache::{Lookup, ShardedCache};
 pub use client::{Conn, HttpReply};
 pub use http::{Body, Request, Response};
 pub use server::{Server, ServerConfig};
-pub use service::{Backend, ProgressUpdate, Service, ServiceConfig};
+pub use service::{Backend, Service, ServiceConfig};
 pub use stats::ServerStats;

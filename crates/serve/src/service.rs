@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use fair_simlab::json::Json;
-use fair_simlab::proto_json;
+use fair_simlab::{proto_json, ProgressUpdate};
 
 use crate::cache::{Lookup, ShardedCache};
 use crate::http::{Request, Response};
@@ -50,25 +50,6 @@ pub trait Backend: Send + Sync + 'static {
     ) -> Option<String> {
         None
     }
-}
-
-/// One progress frame of an adaptive estimation, as surfaced to HTTP
-/// streaming consumers (mirrors `fair_core::progressive::Update` without
-/// depending on `fair-core` — serve stays below it in the crate order).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ProgressUpdate {
-    /// Scenario name of the reporting `estimate()` call.
-    pub scenario: String,
-    /// Trials that call was asked for.
-    pub requested: usize,
-    /// Trials tallied so far.
-    pub trials: usize,
-    /// Running mean payoff.
-    pub mean: f64,
-    /// Running 95% confidence half-width.
-    pub ci: f64,
-    /// Whether this is the call's final frame.
-    pub done: bool,
 }
 
 /// Tunables for the service layer.

@@ -23,10 +23,10 @@
 
 use std::io::Write;
 
-use fair_simlab::json::Json;
+use fair_simlab::ProgressUpdate;
 
 use crate::http::{Request, Response};
-use crate::service::{parse_seed, parse_trials, ProgressUpdate, Service, DEFAULT_SEED};
+use crate::service::{parse_seed, parse_trials, Service, DEFAULT_SEED};
 use crate::stats::ServerStats;
 
 /// Handles one `/stream` request end to end on `conn` (the connection
@@ -110,7 +110,7 @@ fn run_stream(service: &Service, conn: &mut dyn Write, params: StreamParams) {
             if update.done && update.trials < update.requested {
                 *early = true;
             }
-            let line = frame_json(&update).render() + "\n";
+            let line = update.to_json().render() + "\n";
             let _ = write_chunk(frame_conn, line.as_bytes());
         };
         service.backend().estimate_progressive(
@@ -136,17 +136,6 @@ fn run_stream(service: &Service, conn: &mut dyn Write, params: StreamParams) {
     }
     // Streamed tiles are as warm as served ones: persist them.
     fair_tiles::cache::flush();
-}
-
-fn frame_json(update: &ProgressUpdate) -> Json {
-    Json::obj()
-        .field("scenario", Json::str(&update.scenario))
-        .field("requested", Json::num(update.requested as f64))
-        .field("trials", Json::num(update.trials as f64))
-        .field("mean", Json::Num(update.mean))
-        .field("ci", Json::Num(update.ci))
-        .field("done", Json::Bool(update.done))
-        .canonical()
 }
 
 /// One chunked-transfer chunk: hex size line, payload, CRLF. Flushed so

@@ -10,7 +10,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use fair_serve::service::Backend;
-use fair_serve::{client, Conn, ProgressUpdate, Server, ServerConfig};
+use fair_serve::{client, Conn, Server, ServerConfig};
+use fair_simlab::ProgressUpdate;
 
 /// A deterministic backend: renders a canonical-looking document and
 /// counts invocations; optionally sleeps to simulate slow estimations.

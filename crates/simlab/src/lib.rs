@@ -34,7 +34,8 @@ pub mod tomlish;
 pub use metrics::BatchTimer;
 pub use pool::{SubmitError, WorkerPool};
 pub use record::{
-    proto_json, result_json, AdaptiveSummary, ExpRecord, ReportRecord, RowRecord, SuiteRecord,
+    proto_json, result_json, AdaptiveSummary, ExpRecord, ProgressUpdate, ReportRecord, RowRecord,
+    SuiteRecord,
 };
 pub use scheduler::{effective_jobs, run_indexed, run_tiled, set_jobs, with_jobs, TILE};
 pub use seed::trial_seed;

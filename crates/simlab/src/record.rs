@@ -184,6 +184,39 @@ impl AdaptiveSummary {
     }
 }
 
+/// One progress frame of an adaptive run: the running estimate of one
+/// `estimate()` call after a tile batch. The adaptive estimator emits
+/// them; fair-serve's `/stream` writes one per line.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ProgressUpdate {
+    /// Scenario name of the reporting `estimate()` call.
+    pub scenario: String,
+    /// Trials that call was asked for.
+    pub requested: usize,
+    /// Trials tallied so far.
+    pub trials: usize,
+    /// Running mean payoff.
+    pub mean: f64,
+    /// Running 95% confidence half-width.
+    pub ci: f64,
+    /// Whether this is the call's final frame (converged or exhausted).
+    pub done: bool,
+}
+
+impl ProgressUpdate {
+    /// Renders the frame as one canonical object (a `/stream` line).
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .field("scenario", Json::str(&self.scenario))
+            .field("requested", Json::num(self.requested as f64))
+            .field("trials", Json::num(self.trials as f64))
+            .field("mean", Json::Num(self.mean))
+            .field("ci", Json::Num(self.ci))
+            .field("done", Json::Bool(self.done))
+            .canonical()
+    }
+}
+
 /// A complete record of one experiment execution.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExpRecord {
@@ -260,16 +293,24 @@ impl ExpRecord {
         result_json(&self.id, self.trials, self.seed, &self.report)
     }
 
-    /// The full per-experiment JSON document.
+    /// The full per-experiment JSON document: the summary plus seed,
+    /// per-protocol metrics and the full tables.
     pub fn to_json(&self) -> Json {
-        let doc = self
+        let mut doc = self
             .summary_fields()
             .field("seed", Json::num(self.seed as f64));
+        if !self.protocols.is_empty() {
+            doc = doc.field(
+                "protocols",
+                Json::Arr(self.protocols.iter().map(proto_json).collect()),
+            );
+        }
         doc.field("reports", Json::Arr(vec![report_json(&self.report)]))
     }
 
     /// The summary object embedded in the aggregate suite record:
-    /// id, trial count, wall-clock, throughput, latency, pass/fail.
+    /// id, trial count, wall-clock, latency, pass/fail, and adaptive
+    /// accounting when present.
     pub fn summary_fields(&self) -> Json {
         let mut doc = Json::obj()
             .field("experiment", Json::str(&self.id))
@@ -286,12 +327,6 @@ impl ExpRecord {
                     .field("p50", Json::num(lat.p50 as f64))
                     .field("p99", Json::num(lat.p99 as f64))
                     .field("max", Json::num(lat.max as f64)),
-            );
-        }
-        if !self.protocols.is_empty() {
-            doc = doc.field(
-                "protocols",
-                Json::Arr(self.protocols.iter().map(proto_json).collect()),
             );
         }
         if let Some(adaptive) = &self.adaptive {
@@ -533,8 +568,10 @@ mod tests {
         );
         assert!(json::get(&exps[0], "wall_clock_ms").is_some());
         assert!(json::get(&exps[0], "pass").is_some());
-        // Full tables only in the per-experiment record.
+        // Full tables and per-protocol metrics only in the
+        // per-experiment record.
         assert!(json::get(&exps[0], "reports").is_none());
+        assert!(json::get(&exps[0], "protocols").is_none());
     }
 
     #[test]

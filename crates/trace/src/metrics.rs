@@ -5,10 +5,14 @@
 //! Mirrors `fair-simlab`'s integer-tally discipline so the exported
 //! summaries are **bit-identical for every `--jobs` value**: estimators
 //! accumulate one [`ProtoBatch`] per scheduler tile (one mutex touch per
-//! ~64 trials, never per trial) and submit it here; batch merges are
-//! commutative integer additions plus sample-multiset unions, and
-//! [`drain`] sorts every sample batch before taking order statistics —
-//! so no observable output depends on which worker ran which tile.
+//! ~64 trials, never per trial) and submit it here. A batch keeps exact
+//! value counts rather than samples, so batch merges are commutative
+//! integer additions, and [`drain`] takes order statistics over the
+//! counts — no observable output depends on which worker ran which tile.
+//! Counts also bound the store: a protocol's rounds, messages and bytes
+//! take a handful of distinct values, so a long-lived collector (the
+//! server keeps one on for its whole life) stays a few entries per
+//! metric however many trials it absorbs.
 //!
 //! Collection is off by default; the recorded experiment runner enables
 //! it around each experiment and drains [`ProtoSummary`] rows into the
@@ -75,12 +79,12 @@ pub struct ProtoBatch {
     pub func_calls: u64,
     /// Trials in which some honest party ended with ⊥.
     pub aborts: u64,
-    /// Per-trial round counts.
-    pub rounds: Vec<u64>,
-    /// Per-trial message counts.
-    pub msgs: Vec<u64>,
-    /// Per-trial byte totals.
-    pub bytes: Vec<u64>,
+    /// Per-trial round counts: value → trials with that value.
+    pub rounds: BTreeMap<u64, u64>,
+    /// Per-trial message counts: value → trials with that value.
+    pub msgs: BTreeMap<u64, u64>,
+    /// Per-trial byte totals: value → trials with that value.
+    pub bytes: BTreeMap<u64, u64>,
 }
 
 impl ProtoBatch {
@@ -92,21 +96,31 @@ impl ProtoBatch {
         if s.bots > 0 {
             self.aborts += 1;
         }
-        self.rounds.push(s.rounds);
-        self.msgs.push(s.msgs);
-        self.bytes.push(s.bytes);
+        for (counts, v) in [
+            (&mut self.rounds, s.rounds),
+            (&mut self.msgs, s.msgs),
+            (&mut self.bytes, s.bytes),
+        ] {
+            *counts.entry(v).or_insert(0) += 1;
+        }
     }
 
-    /// Merges another batch into this one (commutative up to sample
-    /// order, which [`drain`] erases by sorting).
-    pub fn merge(&mut self, mut other: ProtoBatch) {
+    /// Merges another batch into this one (commutative: every field is
+    /// an integer sum).
+    pub fn merge(&mut self, other: ProtoBatch) {
         self.trials += other.trials;
         self.corruptions += other.corruptions;
         self.func_calls += other.func_calls;
         self.aborts += other.aborts;
-        self.rounds.append(&mut other.rounds);
-        self.msgs.append(&mut other.msgs);
-        self.bytes.append(&mut other.bytes);
+        for (counts, more) in [
+            (&mut self.rounds, other.rounds),
+            (&mut self.msgs, other.msgs),
+            (&mut self.bytes, other.bytes),
+        ] {
+            for (v, n) in more {
+                *counts.entry(v).or_insert(0) += n;
+            }
+        }
     }
 }
 
@@ -168,18 +182,23 @@ pub fn record_batch(name: &str, batch: ProtoBatch) {
 /// sorted by name. The output is a pure function of the recorded trial
 /// multiset — identical for every worker count.
 pub fn drain() -> Vec<ProtoSummary> {
-    summarize(std::mem::take(&mut *store()))
+    let batches = std::mem::take(&mut *store());
+    summarize(batches)
 }
 
 /// Summarizes everything collected so far **without draining** — the
 /// live export behind `fair-serve`'s `/metrics` endpoint, which must be
 /// able to report accumulated per-protocol counters while the server
-/// keeps collecting across requests.
+/// keeps collecting across requests. The lock is held only for the copy.
 pub fn snapshot() -> Vec<ProtoSummary> {
-    summarize(store().clone())
+    let batches = store().clone();
+    summarize(batches)
 }
 
 fn summarize(batches: BTreeMap<String, ProtoBatch>) -> Vec<ProtoSummary> {
+    let q = |counts: &BTreeMap<u64, u64>| {
+        QuantileSummary::from_counts(counts.iter().map(|(&v, &n)| (v, n)))
+    };
     batches
         .into_iter()
         .map(|(name, b)| ProtoSummary {
@@ -188,9 +207,9 @@ fn summarize(batches: BTreeMap<String, ProtoBatch>) -> Vec<ProtoSummary> {
             corruptions: b.corruptions,
             func_calls: b.func_calls,
             aborts: b.aborts,
-            rounds: QuantileSummary::from_samples(b.rounds),
-            msgs: QuantileSummary::from_samples(b.msgs),
-            bytes: QuantileSummary::from_samples(b.bytes),
+            rounds: q(&b.rounds),
+            msgs: q(&b.msgs),
+            bytes: q(&b.bytes),
         })
         .collect()
 }
@@ -277,6 +296,31 @@ mod tests {
         let drained = drain();
         assert_eq!(drained[0].trials, 2);
         assert!(snapshot().is_empty());
+        set_enabled(false);
+    }
+
+    #[test]
+    fn store_keeps_one_entry_per_distinct_value() {
+        let _guard = exclusive();
+        set_enabled(true);
+        // 10 000 trials over 3 distinct shapes, submitted tile by tile.
+        for tile in 0..157u64 {
+            let mut b = ProtoBatch::default();
+            for t in tile * 64..((tile + 1) * 64).min(10_000) {
+                let k = t % 3;
+                b.record(&stats(2 + k, 4 + k, 40 + k, 0));
+            }
+            record_batch("pi", b);
+        }
+        let held = store()["pi"].clone();
+        assert_eq!(held.trials, 10_000);
+        for counts in [&held.rounds, &held.msgs, &held.bytes] {
+            assert_eq!(counts.len(), 3, "{counts:?}");
+            assert_eq!(counts.values().sum::<u64>(), 10_000);
+        }
+        let p = &drain()[0];
+        assert_eq!((p.rounds.min, p.rounds.p50, p.rounds.max), (2, 3, 4));
+        assert_eq!(p.bytes.total, 40 * 10_000 + 3_333 + 2 * 3_333);
         set_enabled(false);
     }
 

@@ -28,10 +28,10 @@ pub fn percentile_index(count: usize, bp: u32) -> usize {
 
 /// An integer five-number summary (plus total) of a sample batch.
 ///
-/// Built from per-trial integer observations (rounds, messages, bytes);
-/// the samples are sorted before the order statistics are taken, so the
-/// summary depends only on the sample *multiset* — never on the order
-/// tiles were merged in, i.e. never on the worker count.
+/// Built from per-trial integer observations (rounds, messages, bytes,
+/// latencies); the order statistics are taken over the sorted samples,
+/// so the summary depends only on the sample *multiset* — never on the
+/// order tiles were merged in, i.e. never on the worker count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QuantileSummary {
     /// Number of samples.
@@ -51,18 +51,54 @@ pub struct QuantileSummary {
 impl QuantileSummary {
     /// Summarizes a batch of samples (all-zero summary when empty).
     pub fn from_samples(mut samples: Vec<u64>) -> QuantileSummary {
-        if samples.is_empty() {
-            return QuantileSummary::default();
-        }
         samples.sort_unstable();
-        let count = samples.len();
+        QuantileSummary::from_counts(
+            samples
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len() as u64)),
+        )
+    }
+
+    /// Summarizes a sample multiset given as exact value counts:
+    /// `(value, multiplicity)` pairs in strictly ascending value order,
+    /// every multiplicity positive (all-zero summary when empty). The
+    /// order statistics are those of the expanded sorted samples.
+    pub fn from_counts<I>(runs: I) -> QuantileSummary
+    where
+        I: IntoIterator<Item = (u64, u64)>,
+        I::IntoIter: Clone,
+    {
+        let runs = runs.into_iter();
+        let (mut count, mut total) = (0u64, 0u64);
+        let (mut min, mut max) = (None, 0);
+        for (v, n) in runs.clone() {
+            count += n;
+            total += v * n;
+            min.get_or_insert(v);
+            max = v;
+        }
+        let Some(min) = min else {
+            return QuantileSummary::default();
+        };
+        let count = count as usize;
+        // The value at sorted position `i`: the run whose cumulative
+        // multiplicity first exceeds `i`.
+        let at = |i: usize| {
+            let mut seen = 0;
+            runs.clone()
+                .find(|&(_, n)| {
+                    seen += n;
+                    i < seen as usize
+                })
+                .map_or(max, |(v, _)| v)
+        };
         QuantileSummary {
             count,
-            total: samples.iter().sum(),
-            min: samples[0],
-            p50: samples[percentile_index(count, P50)],
-            p99: samples[percentile_index(count, P99)],
-            max: samples[count - 1],
+            total,
+            min,
+            p50: at(percentile_index(count, P50)),
+            p99: at(percentile_index(count, P99)),
+            max,
         }
     }
 }
@@ -126,5 +162,61 @@ mod tests {
         let a = QuantileSummary::from_samples(vec![5, 1, 9, 1, 3]);
         let b = QuantileSummary::from_samples(vec![1, 1, 3, 5, 9]);
         assert_eq!(a, b);
+    }
+
+    /// The summary taken directly over a sorted copy: the oracle the
+    /// count path must equal.
+    fn sorted_oracle(samples: &[u64]) -> QuantileSummary {
+        let mut s = samples.to_vec();
+        s.sort_unstable();
+        let count = s.len();
+        if count == 0 {
+            return QuantileSummary::default();
+        }
+        QuantileSummary {
+            count,
+            total: s.iter().sum(),
+            min: s[0],
+            p50: s[percentile_index(count, P50)],
+            p99: s[percentile_index(count, P99)],
+            max: s[count - 1],
+        }
+    }
+
+    /// Exact value counts of `samples`, as a collector keeps them.
+    fn counts(samples: &[u64]) -> Vec<(u64, u64)> {
+        let mut m = std::collections::BTreeMap::new();
+        for &v in samples {
+            *m.entry(v).or_insert(0) += 1;
+        }
+        m.into_iter().collect()
+    }
+
+    #[test]
+    fn count_path_matches_the_sort_on_the_p99_halfway_case() {
+        // 51 samples, P99 at index 50 exactly: 49 ones, then 2 and 3,
+        // so index 49 (the float formulation's pick) reads 2, index 50 reads 3.
+        let mut samples = vec![1u64; 49];
+        samples.extend([3, 2]);
+        let oracle = sorted_oracle(&samples);
+        assert_eq!((oracle.p50, oracle.p99, oracle.max), (1, 3, 3));
+        assert_eq!(QuantileSummary::from_counts(counts(&samples)), oracle);
+        assert_eq!(QuantileSummary::from_samples(samples), oracle);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #[test]
+        fn prop_count_path_matches_a_sort(
+            len in 0usize..120,
+            spread in 1u64..12,
+            raw in proptest::collection::vec(proptest::any::<u64>(), 120..121),
+        ) {
+            // Few distinct values, so most cases have long runs.
+            let samples: Vec<u64> = raw[..len].iter().map(|r| r % spread * 7).collect();
+            let oracle = sorted_oracle(&samples);
+            proptest::prop_assert_eq!(QuantileSummary::from_counts(counts(&samples)), oracle);
+            proptest::prop_assert_eq!(QuantileSummary::from_samples(samples), oracle);
+        }
     }
 }
