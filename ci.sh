@@ -132,6 +132,33 @@ wait "$SERVE_PID"
 # The aggregated snapshot reports both loops.
 grep -q '"loops": 2' "$SHARD_METRICS"
 rm -f "$SHARD_METRICS"
+
+echo "== fair-serve idle-timeout smoke (the sweep closes an idle keep-alive connection)"
+IDLE_METRICS="$(mktemp)"
+boot_server --workers 1 --loops 1 --keepalive-ms 300 --tiles-dir "$SMOKE_TILES/idle"
+# One keep-alive request, then the client waits (2 s at most) for the
+# server to close the idle connection.
+python3 - "$ADDR" <<'EOF'
+import socket, sys, time
+host, port = sys.argv[1].rsplit(":", 1)
+sock = socket.create_connection((host, int(port)), timeout=2)
+sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: ci\r\n\r\n")
+t0 = time.monotonic()
+reply = b""
+while True:
+    chunk = sock.recv(4096)  # raises socket.timeout after 2 s without EOF
+    if not chunk:
+        break
+    reply += chunk
+assert reply.startswith(b"HTTP/1.1 200"), reply
+print(f"idle keep-alive connection closed after {time.monotonic() - t0:.2f} s")
+EOF
+./target/release/fair-load get --addr "$ADDR" --target '/metrics' --out "$IDLE_METRICS" > /dev/null
+grep -q '"conn_timeouts": [1-9]' "$IDLE_METRICS"
+./target/release/fair-load shutdown --addr "$ADDR"
+wait "$SERVE_PID"
+rm -f "$IDLE_METRICS"
+
 # No smoke's cold phase was answered from stored tiles or cached replies.
 python3 - <<'EOF'
 import json

@@ -1,15 +1,14 @@
 //! `fair-aio` — a zero-dependency readiness-polling event loop core.
 //!
-//! The serving layer needs three primitives to run many connections on one
-//! thread: an OS readiness poller, a cross-thread waker, and a coarse timer.
-//! This crate provides exactly those, and nothing else:
+//! The serving layer needs two primitives to run many connections on one
+//! thread: an OS readiness poller and a cross-thread waker. This crate
+//! provides exactly those, plus the listener that shards accepts, and
+//! nothing else:
 //!
 //! * [`Poller`] — a thin epoll wrapper (level- or edge-triggered) speaking
 //!   `std::os::fd` borrowed/owned descriptors.
 //! * [`Waker`] — an `eventfd`-backed doorbell so worker threads can nudge a
 //!   loop blocked in [`Poller::wait`].
-//! * [`TimerWheel`] — a hashed wheel of coarse deadlines (connection
-//!   idle/read timeouts), advanced lazily from the loop.
 //! * [`net::reuseport_listener`] — a `SO_REUSEPORT` TCP listener, so N
 //!   event loops can each own a listener on the same address and the kernel
 //!   shards accepted connections across them.
@@ -32,8 +31,6 @@ mod sys;
 pub mod net;
 mod poll;
 mod wake;
-mod wheel;
 
 pub use poll::{Event, Interest, Poller, Token};
 pub use wake::Waker;
-pub use wheel::TimerWheel;

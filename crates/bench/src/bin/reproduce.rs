@@ -7,8 +7,8 @@
 //!   `cargo run --release -p fair-bench --bin reproduce -- [FLAGS] [e1 e5 …]`
 //!
 //! Flags:
-//!   `--jobs N`      worker threads for trial sharding (default: 1, or
-//!                   `FAIR_JOBS`); tallies are bit-identical for every N
+//!   `--jobs N`      worker threads for trial sharding (default: 1);
+//!                   tallies are bit-identical for every N
 //!   `--json PATH`   write the aggregate run record to PATH
 //!   `--epsilon F`   adaptive precision target: stop each estimate once
 //!                   its 95% CI half-width reaches F; records report

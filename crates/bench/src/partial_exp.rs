@@ -23,29 +23,32 @@ use rand::{RngExt, SeedableRng};
 
 use fair_simlab::RowRecord;
 
-/// Real-world acceptance probabilities of Z₁ and Z₂ against Π̃.
+/// Real-world acceptance probabilities of Z₁ and Z₂ against Π̃. Both
+/// environments judge the same run, so each trial executes Π̃ once and
+/// counts for both.
+///
+/// # Panics
+///
+/// Panics if `trials == 0`.
 pub fn real_acceptances(trials: usize, seed: u64) -> (Acceptance, Acceptance) {
-    let z1 = acceptance(
-        |s| {
+    assert!(trials > 0, "need at least one trial");
+    let (z1, z2) = fair_simlab::run_tiled(trials, |range| {
+        range.fold((0usize, 0usize), |(z1, z2), t| {
+            let s = fair_simlab::trial_seed(seed, t as u64);
             let mut rng = StdRng::seed_from_u64(s);
             let x1 = rng.random_range(0u64..2);
             let obs = probe_real(x1, 0, s ^ 0xabcd);
-            obs.reply == Some(Some(x1)) && obs.z1 == fair_runtime::Value::Scalar(0)
-        },
-        trials,
-        seed,
-    );
-    let z2 = acceptance(
-        |s| {
-            let mut rng = StdRng::seed_from_u64(s);
-            let _x1 = rng.random_range(0u64..2);
-            let obs = probe_real(_x1, 0, s ^ 0xabcd);
-            matches!(obs.reply, Some(Some(_)))
-        },
-        trials,
-        seed,
-    );
-    (z1, z2)
+            let z1_ok = obs.reply == Some(Some(x1)) && obs.z1 == fair_runtime::Value::Scalar(0);
+            let z2_ok = matches!(obs.reply, Some(Some(_)));
+            (z1 + usize::from(z1_ok), z2 + usize::from(z2_ok))
+        })
+    })
+    .into_iter()
+    .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
+    (
+        Acceptance::from_hits(z1, trials),
+        Acceptance::from_hits(z2, trials),
+    )
 }
 
 /// A candidate simulator for the ideal F^{∧,$} world.

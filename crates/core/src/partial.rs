@@ -20,6 +20,19 @@ pub struct Acceptance {
     pub trials: usize,
 }
 
+impl Acceptance {
+    /// The estimate from `hits` accepting runs out of `trials`, with a
+    /// Wilson half-width: well-behaved at rates near 0 or 1 (a plain
+    /// normal approximation reports zero uncertainty there).
+    pub fn from_hits(hits: usize, trials: usize) -> Acceptance {
+        Acceptance {
+            rate: hits as f64 / trials as f64,
+            ci: crate::stats::wilson(hits, trials, crate::stats::Z_95).half_width(),
+            trials,
+        }
+    }
+}
+
 /// Estimates the acceptance probability of a boolean experiment over
 /// seeded runs.
 ///
@@ -51,15 +64,7 @@ pub fn acceptance<F: Fn(u64) -> bool + Sync>(run: F, trials: usize, seed: u64) -
     })
     .into_iter()
     .sum();
-    let p = hits as f64 / trials as f64;
-    // Wilson half-width: well-behaved at rates near 0 or 1 (a plain normal
-    // approximation reports zero uncertainty there).
-    let ci = crate::stats::wilson(hits, trials, crate::stats::Z_95).half_width();
-    Acceptance {
-        rate: p,
-        ci,
-        trials,
-    }
+    Acceptance::from_hits(hits, trials)
 }
 
 #[cfg(test)]

@@ -2,13 +2,12 @@
 //!
 //! Each [`EventLoop`] owns a full single-threaded serving stack: its own
 //! `fair_aio::Poller`, listener (a `SO_REUSEPORT` group member, or the
-//! only listener of a single-loop server), connection slab, [`TimerWheel`],
-//! wake eventfd, and completion queue. Nothing here is locked on the hot
-//! path — the only state shared *between* loops is the result cache
-//! (sharded, single-flight deduped), the tile store, the bounded
-//! [`WorkerPool`], and the shutdown latch, all reached through [`Service`].
-//! Even the `/metrics` counters are loop-local blocks
-//! ([`Service::register_loop_stats`]) folded together at snapshot time.
+//! only listener of a single-loop server), connection slab, wake eventfd,
+//! and completion queue. Nothing here is locked on the hot path — the
+//! only state shared *between* loops is the result cache (sharded,
+//! single-flight deduped), the tile store, the bounded [`WorkerPool`],
+//! the `/metrics` counters (relaxed atomics), and the shutdown latch, all
+//! reached through [`Service`].
 //!
 //! The warm path never leaves the loop: parse a buffered head, probe the
 //! result cache, serialize the response head, and gather head + shared
@@ -21,35 +20,38 @@
 //! chunk the same way and an end marker when the job finishes. Either
 //! way the bytes splice into the connection's pipeline slot on the thread
 //! that owns it, so pipelined responses never reorder, sharded or not,
-//! and write backpressure and the timer wheel cover streams like any
+//! and write backpressure and the idle sweep cover streams like any
 //! other reply.
 //!
-//! Shutdown is a coordinated drain: every loop stops polling at the latch,
-//! meets at the [`DrainBarrier`], one loop drains the shared pool, and then
-//! each loop splices its own completions and flushes its connections with
-//! bounded blocking writes.
+//! Timeouts are one sweep over the connection slab every [`SWEEP_TICK`]:
+//! a connection idle past its limit (read or keep-alive) is closed, at
+//! most one tick late. A connection with a job in flight is never reaped.
+//!
+//! Shutdown: at the latch a loop stops accepting and reading, keeps
+//! splicing completions until none of its connections waits on a job
+//! (every job belongs to the loop whose connection submitted it), then
+//! flushes its connections with bounded blocking writes and closes them.
 
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fair_aio::{Event, Interest, Poller, TimerWheel, Token, Waker};
-use fair_simlab::{SubmitError, WorkerPool};
+use fair_aio::{Event, Interest, Poller, Token, Waker};
+use fair_simlab::WorkerPool;
 
 use crate::http::{self, Body, ParseError, Request, Response};
 use crate::server::ServerConfig;
 use crate::service::{Service, Verdict};
 use crate::stats::ServerStats;
 
-/// How often the loop wakes to poll the shutdown latch and the wheel.
+/// How often the loop wakes to poll the shutdown latch and the sweep.
 const LOOP_TICK: Duration = Duration::from_millis(10);
-/// Timer wheel resolution — coarse on purpose; timeouts are seconds.
-const WHEEL_TICK: Duration = Duration::from_millis(100);
-const WHEEL_SLOTS: usize = 128;
+/// Idle-sweep period — coarse on purpose; timeouts are seconds.
+const SWEEP_TICK: Duration = Duration::from_millis(100);
 /// Listener and waker get the two reserved tokens below this base.
 const CONN_BASE: u64 = 2;
 const LISTENER: Token = Token(0);
@@ -63,7 +65,7 @@ const WRITEV_BATCH: usize = 32;
 /// How long the drain phase will block flushing one connection's tail.
 const DRAIN_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 /// How long a connection may sit mid-request-head (or before its first
-/// request) before the timer wheel closes it.
+/// request) before the idle sweep closes it.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
 /// Most parsed requests a connection may have awaiting serialization.
 /// At the cap the loop serializes the ready prefix before parsing more,
@@ -72,11 +74,11 @@ const READ_TIMEOUT: Duration = Duration::from_secs(5);
 const MAX_PIPELINE: usize = 64;
 
 /// Slot generations travel in a token's high 32 bits, so only their low 32
-/// bits survive the trip through the poller and the timer wheel. Every pack
-/// and compare site goes through [`gen_tag`]: without the mask, a slab
+/// bits survive the trip through the poller and the completion queue. Every
+/// pack and compare site goes through [`gen_tag`]: without the mask, a slab
 /// generation ≥ 2^32 would alias an earlier token at pack time while
-/// comparing unequal at check time — a stale timer could then kill a live
-/// connection, and live events would be dropped as stale.
+/// comparing unequal at check time — a stale completion could then land in
+/// a live connection, and live events would be dropped as stale.
 const GEN_MASK: u64 = 0xffff_ffff;
 
 /// The 32-bit tag of a (monotonically growing, unbounded) slot generation.
@@ -94,78 +96,6 @@ fn split_token(token: Token) -> Option<(usize, u64)> {
         return None;
     }
     Some(((low - CONN_BASE) as usize, token.0 >> 32))
-}
-
-/// A reusable rendezvous for the coordinated shutdown drain. Like
-/// `std::sync::Barrier`, [`wait`](DrainBarrier::wait) blocks until every
-/// party arrives and returns `true` for exactly one of them (the leader,
-/// who drains the shared pool). Unlike std's, a party that never started —
-/// a failed loop-thread spawn — can be withdrawn with
-/// [`leave`](DrainBarrier::leave), so the surviving loops still drain
-/// instead of deadlocking on an arrival that will never come.
-pub(crate) struct DrainBarrier {
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-}
-
-struct BarrierState {
-    parties: usize,
-    arrived: usize,
-    generation: u64,
-    /// A `leave` completed the generation, so no waiter returned leader
-    /// from the fast path; the first released waiter claims leadership.
-    leader_pending: bool,
-}
-
-impl DrainBarrier {
-    pub(crate) fn new(parties: usize) -> DrainBarrier {
-        DrainBarrier {
-            state: Mutex::new(BarrierState {
-                parties: parties.max(1),
-                arrived: 0,
-                generation: 0,
-                leader_pending: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until every party has arrived; `true` for exactly one caller.
-    pub(crate) fn wait(&self) -> bool {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.arrived += 1;
-        if st.arrived >= st.parties {
-            st.arrived = 0;
-            st.generation = st.generation.wrapping_add(1);
-            drop(st);
-            self.cv.notify_all();
-            return true;
-        }
-        let gen = st.generation;
-        while st.generation == gen {
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        if st.leader_pending {
-            st.leader_pending = false;
-            return true;
-        }
-        false
-    }
-
-    /// Withdraws one party that will never arrive. If the remaining
-    /// arrivals already cover the shrunken count, the generation completes
-    /// and one released waiter becomes the leader.
-    pub(crate) fn leave(&self) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.parties = st.parties.saturating_sub(1).max(1);
-        if st.arrived >= st.parties && st.arrived > 0 {
-            st.arrived = 0;
-            st.generation = st.generation.wrapping_add(1);
-            st.leader_pending = true;
-            drop(st);
-            self.cv.notify_all();
-        }
-    }
 }
 
 /// One response in flight on the wire: serialized head plus the body
@@ -325,25 +255,20 @@ pub(crate) struct LoopSpec {
     pub service: Arc<Service>,
     pub config: ServerConfig,
     pub shutdown: Arc<AtomicBool>,
-    /// The worker pool, shared across loops; drained once at shutdown by
-    /// the barrier leader.
+    /// The worker pool, shared across loops.
     pub pool: Arc<WorkerPool>,
-    pub barrier: Arc<DrainBarrier>,
 }
 
 pub(crate) struct EventLoop {
     poller: Poller,
     waker: Waker,
-    wheel: TimerWheel,
+    /// When the idle sweep next walks the connection slab.
+    next_sweep: Instant,
     listener: TcpListener,
     pool: Arc<WorkerPool>,
     service: Arc<Service>,
-    /// This loop's own counter block — hot-path bumps never touch a cache
-    /// line another loop writes. `/metrics` folds the blocks together.
-    stats: Arc<ServerStats>,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
-    barrier: Arc<DrainBarrier>,
     conns: Vec<Option<Conn>>,
     gens: Vec<u64>,
     free: Vec<usize>,
@@ -358,19 +283,16 @@ impl EventLoop {
         let waker = Waker::new()?;
         poller.register(spec.listener.as_fd(), LISTENER, Interest::READ)?;
         poller.register(waker.as_fd(), WAKER, Interest::READ.edge_triggered())?;
-        let now = Instant::now();
-        let stats = spec.service.register_loop_stats();
+        spec.service.loops.fetch_add(1, Ordering::Relaxed);
         Ok(EventLoop {
             poller,
             waker,
-            wheel: TimerWheel::new(now, WHEEL_TICK, WHEEL_SLOTS),
+            next_sweep: Instant::now() + SWEEP_TICK,
             listener: spec.listener,
             pool: spec.pool,
             service: spec.service,
-            stats,
             config: spec.config,
             shutdown: spec.shutdown,
-            barrier: spec.barrier,
             conns: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
@@ -380,7 +302,9 @@ impl EventLoop {
         })
     }
 
-    pub(crate) fn run(&mut self) -> std::io::Result<()> {
+    /// Serves until the shutdown latch, then drains. Consumes the loop, so
+    /// its handle on the pool is gone once `run` returns.
+    pub(crate) fn run(mut self) -> std::io::Result<()> {
         let mut result = Ok(());
         while !self.shutdown.load(Ordering::SeqCst) {
             let mut events = std::mem::take(&mut self.events);
@@ -418,7 +342,7 @@ impl EventLoop {
             // a cheap lock probe per tick keeps cold latency at one tick
             // even if a wake edge coalesced into an already-drained batch.
             self.apply_completions();
-            self.fire_timers();
+            self.sweep_idle();
         }
         self.drain();
         result
@@ -438,12 +362,11 @@ impl EventLoop {
     }
 
     fn install_conn(&mut self, stream: TcpStream) {
-        ServerStats::bump(&self.stats.accepted);
+        ServerStats::bump(&self.service.stats.accepted);
         if stream.set_nonblocking(true).is_err() {
             return;
         }
         let _ = stream.set_nodelay(true);
-        let now = Instant::now();
         // Claim the slot only once registration succeeded, so a failed
         // register leaks neither a recycled index nor a fresh one.
         let idx = self.free.last().copied().unwrap_or(self.conns.len());
@@ -469,12 +392,11 @@ impl EventLoop {
             no_more_reads: false,
             close_after_drain: false,
             registered: Interest::READ,
-            last_activity: now,
+            last_activity: Instant::now(),
         };
         if let Some(slot) = self.conns.get_mut(idx) {
             *slot = Some(conn);
         }
-        self.wheel.arm(now, READ_TIMEOUT, token, gen_tag(gen));
     }
 
     // ---- per-connection event handling --------------------------------
@@ -562,10 +484,10 @@ impl EventLoop {
                             let result = http::parse_request(&head);
                             if result.is_ok() {
                                 if conn.parsed >= 1 {
-                                    ServerStats::bump(&self.stats.keepalive_reuses);
+                                    ServerStats::bump(&self.service.stats.keepalive_reuses);
                                 }
                                 if !conn.pending.is_empty() || !conn.out.is_empty() {
-                                    ServerStats::bump(&self.stats.pipelined_requests);
+                                    ServerStats::bump(&self.service.stats.pipelined_requests);
                                 }
                                 conn.parsed += 1;
                             }
@@ -604,7 +526,7 @@ impl EventLoop {
                         ParseError::HeadTooLarge => 431,
                         _ => 400,
                     };
-                    self.stats.count_status(status);
+                    self.service.stats.count_status(status);
                     let resp = Response::error(status, &err.to_string());
                     let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                         return;
@@ -624,7 +546,7 @@ impl EventLoop {
 
     /// Routes one request to its pipeline slot: deadline guard, then
     /// `/stream` or the warm-or-cold service verdict, with cold work and
-    /// streams submitted to the pool (inline 429/503 on refusal).
+    /// streams submitted to the pool (inline 429 on refusal).
     fn route(
         &mut self,
         idx: usize,
@@ -635,7 +557,7 @@ impl EventLoop {
     ) -> Pending {
         let deadline = self.config.deadline;
         if arrival.elapsed() > deadline {
-            return Pending::Ready(deadline_expired(&self.stats), keep_alive);
+            return Pending::Ready(deadline_expired(&self.service.stats), keep_alive);
         }
         // Warm verdicts return here, before any job bookkeeping.
         let ticket = if req.path == "/stream" {
@@ -677,25 +599,17 @@ impl EventLoop {
                 courier.send(bytes, true);
             }),
         };
-        let refused = match submitted {
-            Ok(()) => {
-                return Pending::Busy {
-                    job,
-                    bytes: Vec::new(),
-                    done: false,
-                }
-            }
-            Err(SubmitError::QueueFull) => {
-                ServerStats::bump(&self.stats.rejected_queue_full);
-                Response::error(429, "server overloaded, retry later")
-                    .with_header("Retry-After", "1")
-            }
-            Err(SubmitError::ShuttingDown) => {
-                ServerStats::bump(&self.stats.rejected_shutdown);
-                Response::error(503, "server is shutting down")
-            }
-        };
-        self.stats.count_status(refused.status);
+        if submitted.is_ok() {
+            return Pending::Busy {
+                job,
+                bytes: Vec::new(),
+                done: false,
+            };
+        }
+        ServerStats::bump(&self.service.stats.rejected_queue_full);
+        let refused =
+            Response::error(429, "server overloaded, retry later").with_header("Retry-After", "1");
+        self.service.stats.count_status(refused.status);
         Pending::Ready(refused, keep_alive)
     }
 
@@ -778,7 +692,7 @@ impl EventLoop {
         }
     }
 
-    // ---- completions and timers ---------------------------------------
+    // ---- completions and timeouts ---------------------------------------
 
     /// Splices the bytes workers sent (cold replies, stream chunks) into
     /// their connections' pipeline slots and pumps those connections.
@@ -820,50 +734,32 @@ impl EventLoop {
         }
     }
 
-    /// Advances the wheel; fires close idle/stalled connections and
-    /// re-arm live ones.
-    fn fire_timers(&mut self) {
+    /// Once per [`SWEEP_TICK`], closes every connection idle past its
+    /// limit: unread output or an idle keep-alive gets the keep-alive
+    /// timeout, a connection mid-head or before its first request gets
+    /// [`READ_TIMEOUT`]. A connection with a job in flight is left alone;
+    /// the job's deadline bounds it.
+    fn sweep_idle(&mut self) {
         let now = Instant::now();
-        let mut fired: Vec<(Token, u64)> = Vec::new();
-        self.wheel
-            .advance(now, |token, gen| fired.push((token, gen)));
-        for (token, gen) in fired {
-            let Some((idx, token_gen)) = split_token(token) else {
+        if now < self.next_sweep {
+            return;
+        }
+        self.next_sweep = now + SWEEP_TICK;
+        for idx in 0..self.conns.len() {
+            let Some(conn) = self.conns.get(idx).and_then(Option::as_ref) else {
                 continue;
             };
-            if self.gens.get(idx).copied().map(gen_tag) != Some(gen) || token_gen != gen {
-                continue; // stale entry for a recycled slot
+            if !conn.pending.is_empty() {
+                continue;
             }
-            let (close, rearm) = {
-                let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                    continue;
-                };
-                if !conn.pending.is_empty() {
-                    // A cold job is in flight; its deadline bounds it.
-                    // Stay patient and check again next period.
-                    (false, self.config.keepalive_timeout)
-                } else {
-                    let idle = now.saturating_duration_since(conn.last_activity);
-                    let limit = if !conn.out.is_empty() {
-                        // Unread output: the client stopped draining.
-                        self.config.keepalive_timeout
-                    } else if conn.parsed == 0 || !conn.buf.is_empty() {
-                        READ_TIMEOUT
-                    } else {
-                        self.config.keepalive_timeout
-                    };
-                    if idle >= limit {
-                        (true, limit)
-                    } else {
-                        (false, limit.saturating_sub(idle))
-                    }
-                }
-            };
-            if close {
-                ServerStats::bump(&self.stats.conn_timeouts);
-                self.close_conn(idx);
+            let limit = if conn.out.is_empty() && (conn.parsed == 0 || !conn.buf.is_empty()) {
+                READ_TIMEOUT
             } else {
-                self.wheel.arm(now, rearm, token, gen);
+                self.config.keepalive_timeout
+            };
+            if now.saturating_duration_since(conn.last_activity) >= limit {
+                ServerStats::bump(&self.service.stats.conn_timeouts);
+                self.close_conn(idx);
             }
         }
     }
@@ -882,19 +778,26 @@ impl EventLoop {
 
     // ---- shutdown -----------------------------------------------------
 
-    /// Coordinated graceful drain. Every loop has stopped polling (the
-    /// latch is set); they rendezvous so that *one* loop drains the shared
-    /// pool — running every admitted job to completion — then each loop
-    /// splices its own completions and flushes its connections' queued
-    /// output with bounded blocking writes.
+    /// Graceful drain. The latch is set, so this loop stops accepting and
+    /// reading; it keeps splicing completions until none of its
+    /// connections waits on a job, then flushes every connection's queued
+    /// output with bounded blocking writes and closes it. Orphaned jobs
+    /// (their connection already closed) are not waited for here: the
+    /// pool runs them when the server drops it.
     fn drain(&mut self) {
-        if self.barrier.wait() {
-            self.pool.drain();
+        let _ = self.poller.deregister(self.listener.as_fd());
+        for conn in self.conns.iter().flatten() {
+            let _ = self.poller.deregister(conn.stream.as_fd());
         }
-        // Second rendezvous: no loop touches its completion queue until
-        // every in-flight job has finished pushing into it.
-        self.barrier.wait();
-        self.apply_completions();
+        let mut events = std::mem::take(&mut self.events);
+        while self.awaits_job() {
+            // Only the waker is registered now; a timeout re-checks too.
+            if self.poller.wait(Some(LOOP_TICK), &mut events).is_err() {
+                std::thread::sleep(LOOP_TICK);
+            }
+            self.waker.drain();
+            self.apply_completions();
+        }
         for idx in 0..self.conns.len() {
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                 continue;
@@ -917,6 +820,16 @@ impl EventLoop {
             }
             self.close_conn(idx);
         }
+    }
+
+    /// Whether any connection still holds a pipeline slot whose job has
+    /// not sent its last bytes.
+    fn awaits_job(&self) -> bool {
+        self.conns.iter().flatten().any(|conn| {
+            conn.pending
+                .iter()
+                .any(|slot| matches!(slot, Pending::Busy { done: false, .. }))
+        })
     }
 }
 
@@ -989,54 +902,12 @@ mod tests {
             Some(gen_tag(slab_gen)),
             "live token matches the masked slab generation"
         );
-        // …and still rejects its predecessor's (the stale-timer case).
+        // …and still rejects its predecessor's (the stale-completion case).
         let stale = token_for(5, slab_gen - 1);
         assert_ne!(
             split_token(stale).map(|(_, g)| g),
             Some(gen_tag(slab_gen)),
             "stale token from the previous generation must not match"
-        );
-    }
-
-    #[test]
-    fn drain_barrier_elects_one_leader_per_generation() {
-        let barrier = Arc::new(DrainBarrier::new(4));
-        for _ in 0..3 {
-            let leaders: Vec<std::thread::JoinHandle<bool>> = (0..4)
-                .map(|_| {
-                    let b = Arc::clone(&barrier);
-                    std::thread::spawn(move || b.wait())
-                })
-                .collect();
-            let elected: usize = leaders
-                .into_iter()
-                .map(|h| usize::from(h.join().expect("barrier thread")))
-                .sum();
-            assert_eq!(elected, 1, "exactly one leader per generation");
-        }
-    }
-
-    #[test]
-    fn drain_barrier_releases_waiters_when_a_party_leaves() {
-        let barrier = Arc::new(DrainBarrier::new(3));
-        let waiters: Vec<std::thread::JoinHandle<bool>> = (0..2)
-            .map(|_| {
-                let b = Arc::clone(&barrier);
-                std::thread::spawn(move || b.wait())
-            })
-            .collect();
-        // Give both waiters time to arrive, then withdraw the third party
-        // (e.g. its thread failed to spawn): the generation must complete
-        // and elect exactly one of the released waiters leader.
-        std::thread::sleep(Duration::from_millis(50));
-        barrier.leave();
-        let elected: usize = waiters
-            .into_iter()
-            .map(|h| usize::from(h.join().expect("barrier thread")))
-            .sum();
-        assert_eq!(
-            elected, 1,
-            "a leave-completed generation still has one leader"
         );
     }
 

@@ -28,14 +28,15 @@
 //!   [`fair_aio`] — readiness polling, HTTP/1.1 keep-alive and
 //!   pipelining, vectored writes — with cold work and streams on a
 //!   bounded [`fair_simlab::WorkerPool`] (429 when the queue is full),
-//!   per-request deadlines (503), and a coordinated drain-then-flush
-//!   shutdown. One I/O model: workers never touch sockets; their output
-//!   (a cold reply, or each flushed `/stream` chunk) returns through the
-//!   loop's completion queue and the loop writes it.
+//!   per-request deadlines (503), a 100 ms idle sweep for read and
+//!   keep-alive timeouts, and a shutdown in which each loop awaits its
+//!   own jobs, then flushes. One I/O model: workers never touch sockets;
+//!   their output (a cold reply, or each flushed `/stream` chunk) returns
+//!   through the loop's completion queue and the loop writes it.
 //! - [`server`]: the coordinator — binds one listener per event loop
-//!   ([`ServerConfig::loops`], `SO_REUSEPORT` accept sharding), owns the
-//!   shared worker pool, shutdown latch, and drain barrier, and
-//!   aggregates per-loop `/metrics` counters.
+//!   ([`ServerConfig::loops`], `SO_REUSEPORT` accept sharding) and owns
+//!   the shared worker pool and shutdown latch. Every loop bumps the one
+//!   [`ServerStats`] block `/metrics` reads.
 //! - [`streaming`]: the chunked `GET /stream` endpoint — progressive
 //!   estimation frames with CI-bounded early stop (`epsilon=`).
 //! - [`client`]: a minimal blocking client for `fair-load` and tests.

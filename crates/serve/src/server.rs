@@ -2,11 +2,10 @@
 //!
 //! The actual per-connection machinery lives in [`crate::event_loop`]; this
 //! module owns what is *shared* across the `loops` event loops it starts:
-//! the listener group, the [`WorkerPool`] executing cold estimations, the
-//! shutdown latch, and the drain barrier the loops rendezvous on at the
-//! end. Loop 0 always runs inline on the caller's thread; with `loops ==
-//! 1` ([`ServerConfig`]'s default, and the only sensible setting on a
-//! one-core host) it is the whole server. The `fair-serve` binary
+//! the listener group, the [`WorkerPool`] executing cold estimations, and
+//! the shutdown latch. Loop 0 always runs inline on the caller's thread;
+//! with `loops == 1` ([`ServerConfig`]'s default, and the only sensible
+//! setting on a one-core host) it is the whole server. The `fair-serve` binary
 //! defaults `--loops` to the host's available parallelism instead.
 //!
 //! Accept sharding is `SO_REUSEPORT` only: each loop binds its own
@@ -17,7 +16,8 @@
 //! epoll, so every host that can run the loops has reuseport.
 //!
 //! Everything request-visible survives sharding unchanged: graceful drain
-//! (latch → barrier → one pool drain → per-loop flush), inline 429/503
+//! (latch → each loop awaits its own jobs and flushes → after every loop
+//! joined, dropping the pool runs any orphaned job), inline 429/503
 //! admission, keep-alive/pipelining in-order replies, and the served-bytes
 //! byte-identity contract — the result cache, single-flight dedup, and
 //! tile store are process-wide, so the same `(exp, trials, seed)` point
@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use fair_simlab::WorkerPool;
 
-use crate::event_loop::{DrainBarrier, EventLoop, LoopSpec};
+use crate::event_loop::{EventLoop, LoopSpec};
 use crate::service::{Backend, Service, ServiceConfig};
 
 /// Tunables for the event loops and worker pool.
@@ -51,7 +51,7 @@ pub struct ServerConfig {
     /// the queue past it is answered `503` instead of being served late.
     pub deadline: Duration,
     /// How long an idle keep-alive connection (no request in flight, no
-    /// unread bytes) is retained before the timer wheel closes it.
+    /// unread bytes) is retained before the idle sweep closes it.
     pub keepalive_timeout: Duration,
     /// Where to flush the final metrics snapshot on shutdown (optional).
     pub metrics_path: Option<PathBuf>,
@@ -156,7 +156,6 @@ impl Server {
             ..
         } = self;
         let pool = Arc::new(WorkerPool::new(config.workers, config.queue_cap));
-        let barrier = Arc::new(DrainBarrier::new(listeners.len()));
         // Build every loop before starting any: construction registers
         // descriptors with fresh pollers, so errors surface here instead
         // of killing a half-started group.
@@ -168,30 +167,23 @@ impl Server {
                 config: config.clone(),
                 shutdown: Arc::clone(&shutdown),
                 pool: Arc::clone(&pool),
-                barrier: Arc::clone(&barrier),
             })?);
         }
         let mut loops = loops.into_iter();
-        let Some(mut first) = loops.next() else {
+        let Some(first) = loops.next() else {
             return Ok(());
         };
         let result = std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            for (i, mut el) in loops.enumerate() {
+            for (i, el) in loops.enumerate() {
                 let spawned = std::thread::Builder::new()
                     .name(format!("fair-loop-{}", i + 1))
                     .spawn_scoped(scope, move || el.run());
                 match spawned {
                     Ok(handle) => handles.push(handle),
-                    Err(e) => {
-                        // This loop will never arrive at the drain
-                        // barrier; withdraw it so the others still drain,
-                        // and stop the group — a half-capacity server was
-                        // not what was asked for.
-                        barrier.leave();
-                        shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-                        let _ = e;
-                    }
+                    // Stop the group: a half-capacity server was not what
+                    // was asked for.
+                    Err(_) => shutdown.store(true, std::sync::atomic::Ordering::SeqCst),
                 }
             }
             let mut result = first.run();
@@ -205,8 +197,9 @@ impl Server {
             }
             result
         });
-        // All loops have drained; the pool Arcs they held are gone.
-        // Dropping ours joins the (already drained) workers.
+        // Every loop has drained and dropped its pool handle. Dropping the
+        // last one runs any job whose connection closed early, then joins
+        // the workers, so the snapshot below counts every job.
         drop(pool);
         if let Some(path) = &config.metrics_path {
             let body = service.metrics_document().render_pretty() + "\n";

@@ -9,8 +9,8 @@
 //! `Arc<Vec<u8>>` bodies, and served pointer-for-pointer on hits — so the
 //! cold path, the warm path, and the batch record agree byte for byte.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use fair_simlab::json::Json;
 use fair_simlab::{proto_json, ProgressUpdate};
@@ -110,14 +110,12 @@ pub struct Service {
     /// the warm path must not rebuild the full `(id, title)` listing per
     /// request just to validate `exp`.
     known: Vec<String>,
-    /// Shared server tallies: everything counted on this service's own
-    /// paths (requests, statuses, cache flavors) plus worker-side bumps.
-    /// Event loops keep their loop-local counters in separate blocks (see
-    /// [`register_loop_stats`](Service::register_loop_stats)); `/metrics`
-    /// folds all blocks together.
+    /// The server tallies: one shared block that the event loops, the
+    /// workers and this service's own paths all bump.
     pub stats: Arc<ServerStats>,
-    /// Per-event-loop counter blocks, registered once per loop at startup.
-    loop_stats: Mutex<Vec<Arc<ServerStats>>>,
+    /// Event loops built over this service; each `EventLoop::new` counts
+    /// itself here, and `/metrics` reports it as `loops`.
+    pub(crate) loops: AtomicUsize,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -140,37 +138,9 @@ impl Service {
             config,
             known,
             stats: Arc::new(ServerStats::default()),
-            loop_stats: Mutex::new(Vec::new()),
+            loops: AtomicUsize::new(0),
             shutdown,
         }
-    }
-
-    /// Registers and returns a fresh per-loop counter block. Each event
-    /// loop bumps its own block on the hot path — no cache line ping-pong
-    /// between cores — and [`stats_snapshot`](Service::stats_snapshot)
-    /// folds every block into one tally surface on demand.
-    pub fn register_loop_stats(&self) -> Arc<ServerStats> {
-        let stats = Arc::new(ServerStats::default());
-        self.loop_stats
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::clone(&stats));
-        stats
-    }
-
-    /// Number of per-loop counter blocks registered (the live loop count).
-    pub fn registered_loops(&self) -> usize {
-        self.loop_stats
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
-    }
-
-    /// One aggregated tally snapshot: the shared block plus every
-    /// registered per-loop block, counter-for-counter summed.
-    pub fn stats_snapshot(&self) -> ServerStats {
-        let loops = self.loop_stats.lock().unwrap_or_else(|e| e.into_inner());
-        ServerStats::merged(std::iter::once(&*self.stats).chain(loops.iter().map(Arc::as_ref)))
     }
 
     /// Whether shutdown has been requested.
@@ -348,12 +318,15 @@ impl Service {
         let protocols = fair_trace::metrics::snapshot();
         Json::obj()
             .field("cache_entries", Json::num(self.cache.len() as f64))
-            .field("loops", Json::num(self.registered_loops().max(1) as f64))
+            .field(
+                "loops",
+                Json::num(self.loops.load(Ordering::Relaxed).max(1) as f64),
+            )
             .field(
                 "protocols",
                 Json::Arr(protocols.iter().map(proto_json).collect()),
             )
-            .field("server", self.stats_snapshot().to_json())
+            .field("server", self.stats.to_json())
             .field("tiles", tiles_json())
             .canonical()
     }

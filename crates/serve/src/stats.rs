@@ -23,7 +23,7 @@ pub struct ServerStats {
     pub status_404: AtomicU64,
     /// Admission-control rejections (queue full).
     pub status_429: AtomicU64,
-    /// Server errors (500/503): shutting down, deadline expired, failures.
+    /// Server errors (500/503): deadline expired, failed estimations.
     pub status_503: AtomicU64,
     /// Estimate served straight from the cache.
     pub cache_hits: AtomicU64,
@@ -33,7 +33,10 @@ pub struct ServerStats {
     pub cache_waits: AtomicU64,
     /// Jobs bounced because the worker queue was full.
     pub rejected_queue_full: AtomicU64,
-    /// Jobs bounced because shutdown had begun.
+    /// Jobs bounced because shutdown had begun. Nothing bounces a job at
+    /// shutdown (a loop stops routing at the latch and its admitted jobs
+    /// run to completion), so this reads 0; the key stays for `/metrics`
+    /// readers.
     pub rejected_shutdown: AtomicU64,
     /// Requests whose per-request deadline expired before service.
     pub deadline_expired: AtomicU64,
@@ -49,7 +52,7 @@ pub struct ServerStats {
     /// Requests parsed while an earlier response on the same connection
     /// was still queued or being written (HTTP pipelining).
     pub pipelined_requests: AtomicU64,
-    /// Connections closed by the idle/read timeout wheel.
+    /// Connections closed by the event loop's idle/read timeout sweep.
     pub conn_timeouts: AtomicU64,
 }
 
@@ -57,51 +60,6 @@ impl ServerStats {
     /// Bumps a counter by one.
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Every counter, in `to_json` key order — the single list that keeps
-    /// [`absorb`](ServerStats::absorb) and the JSON export in lockstep.
-    fn all(&self) -> [&AtomicU64; 19] {
-        [
-            &self.accepted,
-            &self.cache_hits,
-            &self.cache_misses,
-            &self.cache_waits,
-            &self.conn_timeouts,
-            &self.deadline_expired,
-            &self.keepalive_reuses,
-            &self.pipelined_requests,
-            &self.rejected_queue_full,
-            &self.rejected_shutdown,
-            &self.requests,
-            &self.shutdown_requests,
-            &self.status_200,
-            &self.status_400,
-            &self.status_404,
-            &self.status_429,
-            &self.status_503,
-            &self.stream_early_stops,
-            &self.streams,
-        ]
-    }
-
-    /// Adds every counter of `other` into `self`.
-    pub fn absorb(&self, other: &ServerStats) {
-        for (mine, theirs) in self.all().into_iter().zip(other.all()) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
-    /// Sums every counter across `parts` into a fresh snapshot — how
-    /// `/metrics` folds per-event-loop counter blocks (plus the shared
-    /// service block) into the single tally surface tests and dashboards
-    /// see, without any cross-core contention on the hot paths.
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a ServerStats>) -> ServerStats {
-        let acc = ServerStats::default();
-        for part in parts {
-            acc.absorb(part);
-        }
-        acc
     }
 
     /// Records the status code of an emitted response.
@@ -165,44 +123,6 @@ mod tests {
         assert_eq!(s.status_404.load(Ordering::Relaxed), 1);
         assert_eq!(s.status_429.load(Ordering::Relaxed), 1);
         assert_eq!(s.status_503.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn merged_snapshot_sums_every_counter() {
-        let a = ServerStats::default();
-        let b = ServerStats::default();
-        ServerStats::bump(&a.accepted);
-        ServerStats::bump(&a.keepalive_reuses);
-        a.count_status(200);
-        ServerStats::bump(&b.accepted);
-        ServerStats::bump(&b.streams);
-        b.count_status(429);
-        let merged = ServerStats::merged([&a, &b]);
-        assert_eq!(merged.accepted.load(Ordering::Relaxed), 2);
-        assert_eq!(merged.keepalive_reuses.load(Ordering::Relaxed), 1);
-        assert_eq!(merged.streams.load(Ordering::Relaxed), 1);
-        assert_eq!(merged.status_200.load(Ordering::Relaxed), 1);
-        assert_eq!(merged.status_429.load(Ordering::Relaxed), 1);
-        // The merge covers the whole export surface: summing the rendered
-        // numbers field by field matches rendering the merge.
-        let (ja, jb, jm) = (a.to_json().render(), b.to_json().render(), merged.to_json());
-        let parse = |s: &str| match fair_simlab::json::parse(s) {
-            Ok(Json::Obj(fields)) => fields,
-            other => panic!("expected object, got {other:?}"),
-        };
-        let (fa, fb) = (parse(&ja), parse(&jb));
-        let summed: Vec<(String, Json)> = fa
-            .into_iter()
-            .zip(fb)
-            .map(|((ka, va), (kb, vb))| {
-                assert_eq!(ka, kb);
-                match (va, vb) {
-                    (Json::Num(x), Json::Num(y)) => (ka, Json::num(x + y)),
-                    other => panic!("expected numbers, got {other:?}"),
-                }
-            })
-            .collect();
-        assert_eq!(Json::Obj(summed).render(), jm.render());
     }
 
     #[test]

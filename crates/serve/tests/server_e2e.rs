@@ -1,7 +1,7 @@
 //! End-to-end tests over a real TCP socket: a live server with a mock
 //! backend, exercising cold/warm byte identity, admission control under
-//! overload, per-request deadlines, live `/stream` frames, and graceful
-//! shutdown.
+//! overload, per-request deadlines, live `/stream` frames, idle timeouts,
+//! and graceful shutdown.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -448,31 +448,102 @@ fn expired_deadlines_get_503_instead_of_late_service() {
 }
 
 #[test]
-fn graceful_shutdown_drains_and_flushes_metrics() {
-    let dir = std::env::temp_dir().join(format!("fair_serve_e2e_{}", std::process::id()));
-    let metrics_path = dir.join("final_metrics.json");
-    let backend = Arc::new(MockBackend::slow(Duration::from_millis(50)));
+fn idle_keep_alive_connection_is_closed_and_counted() {
     let config = ServerConfig {
+        keepalive_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    };
+    let (addr, handle, _latch) = boot(Arc::new(MockBackend::instant()), config);
+    let mut conn = Conn::connect(addr, Duration::from_secs(2)).expect("connect");
+    conn.send("/healthz").expect("send");
+    assert_eq!(conn.recv().expect("healthz").status, 200);
+    // Idle past the keep-alive timeout: the server closes the socket (EOF),
+    // well before the client's own 2 s read timeout would fire.
+    let err = conn
+        .recv()
+        .expect_err("the server closes an idle connection");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+    let metrics = client::get(addr, "/metrics").expect("metrics").text();
+    assert!(metrics.contains("\"conn_timeouts\": 1,"), "{metrics}");
+    shutdown(addr, handle);
+}
+
+#[test]
+fn connection_waiting_on_a_job_outlives_the_keep_alive_timeout() {
+    let (backend, release) = Gated::new();
+    let config = ServerConfig {
+        keepalive_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    };
+    let (addr, handle, _latch) = boot(Arc::clone(&backend), config);
+    let mut conn = Conn::connect(addr, Duration::from_secs(10)).expect("connect");
+    conn.send("/estimate?exp=e1&trials=10&seed=1")
+        .expect("send");
+    wait_until("job started", || {
+        backend.started.load(Ordering::SeqCst) == 1
+    });
+    // Hold the job for several timeouts: a connection with a job in
+    // flight is never reaped.
+    std::thread::sleep(Duration::from_millis(700));
+    release.send(()).expect("backend is waiting");
+    let reply = conn.recv().expect("reply after the hold");
+    assert_eq!(reply.status, 200);
+    assert_eq!(reply.body, b"{\"seed\":1}\n");
+    let metrics = client::get(addr, "/metrics").expect("metrics").text();
+    assert!(metrics.contains("\"conn_timeouts\": 0,"), "{metrics}");
+    shutdown(addr, handle);
+}
+
+/// Four slow estimates in flight when `POST /shutdown` lands: each is
+/// answered before the server exits, and the final snapshot is flushed.
+/// With two loops the kernel spreads the five connections over both, so
+/// a loop drains jobs while the latch was set by a request on the other.
+fn shutdown_drains_and_flushes_metrics(loops: usize) {
+    let dir = std::env::temp_dir().join(format!("fair_serve_e2e_{}_{loops}", std::process::id()));
+    let metrics_path = dir.join("final_metrics.json");
+    let backend = Arc::new(MockBackend::slow(Duration::from_millis(200)));
+    let config = ServerConfig {
+        loops,
         metrics_path: Some(metrics_path.clone()),
         ..ServerConfig::default()
     };
     let (addr, handle, _latch) = boot(Arc::clone(&backend), config);
 
-    // Put one slow request in flight, then request shutdown while the
-    // worker is still estimating.
-    let in_flight = std::thread::spawn(move || {
-        client::get(addr, "/estimate?exp=e1&trials=10&seed=1").expect("answered")
+    // Put slow requests in flight, then request shutdown while the
+    // workers are still estimating.
+    let in_flight: Vec<_> = (1..=4)
+        .map(|seed| {
+            std::thread::spawn(move || {
+                client::get(addr, &format!("/estimate?exp=e1&trials=10&seed={seed}"))
+                    .expect("answered")
+            })
+        })
+        .collect();
+    wait_until("every estimate started", || {
+        backend.calls.load(Ordering::SeqCst) == 4
     });
-    std::thread::sleep(Duration::from_millis(10));
     shutdown(addr, handle);
 
-    // Drain guarantee: the in-flight request completed with a real answer.
-    let reply = in_flight.join().expect("no panic");
-    assert_eq!(reply.status, 200);
+    // Drain guarantee: every in-flight request completed with a real answer.
+    for request in in_flight {
+        assert_eq!(request.join().expect("no panic").status, 200);
+    }
 
     // The final snapshot was flushed and is valid JSON.
     let snapshot = std::fs::read_to_string(&metrics_path).expect("metrics flushed");
     let doc = fair_simlab::json::parse(snapshot.trim_end()).expect("valid json");
     assert!(fair_simlab::json::get(&doc, "server").is_some());
+    assert!(
+        snapshot.contains(&format!("\"loops\": {loops},")),
+        "{snapshot}"
+    );
+    assert!(snapshot.contains("\"cache_misses\": 4,"), "{snapshot}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn graceful_shutdown_drains_and_flushes_metrics() {
+    for loops in [1, 2] {
+        shutdown_drains_and_flushes_metrics(loops);
+    }
 }

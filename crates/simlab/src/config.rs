@@ -6,8 +6,8 @@
 //! which knobs affect a Monte-Carlo run. Every runtime environment read in
 //! the workspace goes through [`env_usize`] — fairlint flags any other
 //! call site — so the full knob surface is this module's callers:
-//! `FAIR_TRIALS` (trial count, `fair-bench`) and `FAIR_JOBS` (worker
-//! count, [`crate::scheduler`]).
+//! `FAIR_TRIALS` (trial count, `fair-bench`). The worker count has no
+//! environment knob; it is `--jobs` ([`crate::scheduler::set_jobs`]).
 
 /// Reads a positive integer from the environment variable `name`, falling
 /// back to `default` when unset. A malformed or non-positive value is
@@ -51,7 +51,7 @@ mod tests {
     #[test]
     fn valid_values_parse_with_surrounding_whitespace() {
         assert_eq!(parse_env_usize("FAIR_TRIALS", " 250 ", 1000), Ok(250));
-        assert_eq!(parse_env_usize("FAIR_JOBS", "8", 1), Ok(8));
+        assert_eq!(parse_env_usize("FAIR_TRIALS", "8", 1), Ok(8));
     }
 
     #[test]
@@ -65,8 +65,8 @@ mod tests {
 
     #[test]
     fn zero_is_rejected_with_a_specific_message() {
-        let msg = parse_env_usize("FAIR_JOBS", "0", 4).unwrap_err();
-        assert!(msg.contains("FAIR_JOBS=\"0\""), "bad message: {msg}");
+        let msg = parse_env_usize("FAIR_TRIALS", "0", 4).unwrap_err();
+        assert!(msg.contains("FAIR_TRIALS=\"0\""), "bad message: {msg}");
         assert!(msg.contains("not a positive integer"), "bad message: {msg}");
         assert!(msg.contains("default 4"), "bad message: {msg}");
     }

@@ -6,9 +6,8 @@
 //! fixed set of threads with a **bounded queue**: when the queue is full,
 //! [`WorkerPool::try_submit`] fails immediately instead of buffering
 //! without limit, so callers can shed load (HTTP 429) rather than let
-//! latency grow unboundedly. Shutdown is graceful by construction —
-//! [`WorkerPool::shutdown`] stops admissions, lets the workers drain every
-//! queued job, and joins them.
+//! latency grow unboundedly. Dropping the pool is the graceful shutdown:
+//! the workers run every job still queued, then exit and are joined.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -22,15 +21,12 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 pub enum SubmitError {
     /// The queue is at capacity; retry later or shed the request.
     QueueFull,
-    /// The pool is shutting down; no new work is admitted.
-    ShuttingDown,
 }
 
 impl core::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SubmitError::QueueFull => write!(f, "job queue is full"),
-            SubmitError::ShuttingDown => write!(f, "pool is shutting down"),
         }
     }
 }
@@ -39,18 +35,12 @@ impl core::fmt::Display for SubmitError {
 struct PoolState {
     queue: VecDeque<Job>,
     shutting_down: bool,
-    /// Jobs popped from the queue and currently executing.
-    in_flight: usize,
-    /// Jobs fully executed (for drain accounting and tests).
-    completed: u64,
 }
 
 struct PoolShared {
     state: Mutex<PoolState>,
     /// Signals workers that the queue gained a job or shutdown began.
     wake: Condvar,
-    /// Signals `shutdown` that a job finished (for the drain wait).
-    drained: Condvar,
     queue_cap: usize,
 }
 
@@ -73,7 +63,6 @@ impl WorkerPool {
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState::default()),
             wake: Condvar::new(),
-            drained: Condvar::new(),
             queue_cap: queue_cap.max(1),
         });
         let workers = (0..workers.max(1))
@@ -85,13 +74,9 @@ impl WorkerPool {
         WorkerPool { shared, workers }
     }
 
-    /// Enqueues `job`, failing fast when the queue is full or the pool is
-    /// shutting down. Never blocks.
+    /// Enqueues `job`, failing fast when the queue is full. Never blocks.
     pub fn try_submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
         let mut state = self.shared.lock();
-        if state.shutting_down {
-            return Err(SubmitError::ShuttingDown);
-        }
         if state.queue.len() >= self.shared.queue_cap {
             return Err(SubmitError::QueueFull);
         }
@@ -100,58 +85,12 @@ impl WorkerPool {
         self.shared.wake.notify_one();
         Ok(())
     }
-
-    /// Jobs currently executing.
-    pub fn in_flight(&self) -> usize {
-        self.shared.lock().in_flight
-    }
-
-    /// Jobs fully executed since the pool started.
-    pub fn completed(&self) -> u64 {
-        self.shared.lock().completed
-    }
-
-    /// Graceful drain without consuming the pool: refuses new submissions,
-    /// then blocks until the queue is empty and every in-flight job has
-    /// finished. Returns the total number of jobs executed so far.
-    ///
-    /// Worker threads are *not* joined here — that happens when the pool is
-    /// dropped — so N event loops can share one pool behind an `Arc`, have
-    /// any one of them drain it at shutdown (behind their drain barrier),
-    /// and let the last `Arc` drop do the join.
-    pub fn drain(&self) -> u64 {
-        let mut state = self.shared.lock();
-        state.shutting_down = true;
-        while !state.queue.is_empty() || state.in_flight > 0 {
-            state = self
-                .shared
-                .drained
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        let completed = state.completed;
-        drop(state);
-        self.shared.wake.notify_all();
-        completed
-    }
-
-    /// Graceful shutdown: [`drain`](WorkerPool::drain), then join the
-    /// workers. Returns the total number of jobs the pool executed.
-    pub fn shutdown(self) -> u64 {
-        let completed = self.drain();
-        // Dropping `self` joins the workers (the drop path re-checks the
-        // already-set shutdown flag and finds the queue empty).
-        completed
-    }
 }
 
 impl Drop for WorkerPool {
+    /// Graceful shutdown: the workers finish every queued job, then exit
+    /// and are joined.
     fn drop(&mut self) {
-        // Dropping without `shutdown()` (e.g. a panicking test) still
-        // stops the workers; queued jobs are drained the same way.
-        if self.workers.is_empty() {
-            return;
-        }
         self.shared.lock().shutting_down = true;
         self.shared.wake.notify_all();
         for handle in self.workers.drain(..) {
@@ -165,14 +104,8 @@ fn worker_loop(shared: &PoolShared) {
         let mut state = shared.lock();
         loop {
             if let Some(job) = state.queue.pop_front() {
-                state.in_flight += 1;
                 drop(state);
                 job();
-                let mut state = shared.lock();
-                state.in_flight -= 1;
-                state.completed += 1;
-                drop(state);
-                shared.drained.notify_all();
                 break;
             }
             if state.shutting_down {
@@ -187,6 +120,7 @@ fn worker_loop(shared: &PoolShared) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
     use std::time::Duration;
 
     #[test]
@@ -200,38 +134,39 @@ mod tests {
             })
             .expect("queue has room");
         }
-        assert_eq!(pool.shutdown(), 10);
+        drop(pool);
         assert_eq!(hits.load(Ordering::SeqCst), 10);
     }
 
     #[test]
     fn full_queue_rejects_without_blocking() {
         let pool = WorkerPool::new(1, 1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let done = Arc::new(AtomicUsize::new(0));
+        let (started, picked_up) = mpsc::channel();
+        let (release, gate) = mpsc::channel::<()>();
         // Occupy the single worker until released.
-        let g = Arc::clone(&gate);
+        let d = Arc::clone(&done);
         pool.try_submit(move || {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
+            let _ = started.send(());
+            let _ = gate.recv();
+            d.fetch_add(1, Ordering::SeqCst);
         })
         .expect("first job admitted");
         // Wait for the worker to pick it up so the queue is empty.
-        while pool.in_flight() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        pool.try_submit(|| {}).expect("queue slot free");
+        picked_up.recv().expect("worker started the job");
+        let d = Arc::clone(&done);
+        pool.try_submit(move || {
+            d.fetch_add(1, Ordering::SeqCst);
+        })
+        .expect("queue slot free");
         assert_eq!(pool.try_submit(|| {}), Err(SubmitError::QueueFull));
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        assert_eq!(pool.shutdown(), 2);
+        release.send(()).expect("job is waiting");
+        drop(pool);
+        assert_eq!(done.load(Ordering::SeqCst), 2);
     }
 
     #[test]
-    fn shutdown_drains_every_queued_job() {
+    fn drop_runs_every_queued_job_before_joining() {
         let pool = WorkerPool::new(1, 64);
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..20 {
@@ -242,49 +177,8 @@ mod tests {
             })
             .expect("admitted");
         }
-        // Graceful: every queued job ran before shutdown returned.
-        assert_eq!(pool.shutdown(), 20);
+        // Graceful: every queued job ran before the drop returned.
+        drop(pool);
         assert_eq!(done.load(Ordering::SeqCst), 20);
-    }
-
-    #[test]
-    fn shared_pool_drains_from_one_handle_and_joins_on_last_drop() {
-        let pool = Arc::new(WorkerPool::new(2, 64));
-        let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..12 {
-            let done = Arc::clone(&done);
-            pool.try_submit(move || {
-                std::thread::sleep(Duration::from_millis(1));
-                done.fetch_add(1, Ordering::SeqCst);
-            })
-            .expect("admitted");
-        }
-        // Several owners (event loops); any one can drain.
-        let other_owner = Arc::clone(&pool);
-        assert_eq!(pool.drain(), 12);
-        assert_eq!(done.load(Ordering::SeqCst), 12);
-        // After drain, submissions are refused from every handle.
-        assert_eq!(
-            other_owner.try_submit(|| {}),
-            Err(SubmitError::ShuttingDown)
-        );
-        drop(other_owner);
-        drop(pool); // last Arc: joins the workers
-        assert_eq!(done.load(Ordering::SeqCst), 12);
-    }
-
-    #[test]
-    fn drop_without_shutdown_still_joins_workers() {
-        let done = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = WorkerPool::new(2, 8);
-            let done = Arc::clone(&done);
-            pool.try_submit(move || {
-                done.fetch_add(1, Ordering::SeqCst);
-            })
-            .expect("admitted");
-        }
-        // The drop path drained the job before joining.
-        assert_eq!(done.load(Ordering::SeqCst), 1);
     }
 }

@@ -39,15 +39,9 @@ pub fn set_jobs(jobs: usize) {
     JOBS.store(jobs, Ordering::Relaxed);
 }
 
-/// The effective worker count: the value from [`set_jobs`], else the
-/// `FAIR_JOBS` environment variable, else 1.
+/// The effective worker count: the value from [`set_jobs`], else 1.
 pub fn effective_jobs() -> usize {
-    let set = JOBS.load(Ordering::Relaxed);
-    if set > 0 {
-        return set;
-    }
-    static ENV_JOBS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *ENV_JOBS.get_or_init(|| crate::config::env_usize("FAIR_JOBS", 1))
+    JOBS.load(Ordering::Relaxed).max(1)
 }
 
 /// Runs `f` with the global worker count temporarily set to `jobs`,
@@ -166,7 +160,7 @@ mod tests {
     fn with_jobs_restores_previous_value() {
         set_jobs(0);
         with_jobs(3, || assert_eq!(effective_jobs(), 3));
-        // Back to the unset default (1 effective, absent FAIR_JOBS).
+        // Back to the unset default (1 effective).
         assert_eq!(JOBS.load(Ordering::Relaxed), 0);
     }
 
