@@ -45,6 +45,10 @@ echo "== fair-trace selfcheck (record + replay + diff)"
 ./target/release/fair-trace replay exp_coin_toss --jobs 2
 ./target/release/fair-trace diff "$(head -1 /tmp/fair_trace_recorded.txt)" "$(head -1 /tmp/fair_trace_recorded.txt)"
 ./target/release/fair-trace top exp_coin_toss --trials 80 --sample 5 --by msgs
+# Gordon–Katz trials carry ShareGen's typed output through the engine:
+# their transcripts (per-send sizes included) must replay unchanged too.
+./target/release/fair-trace record exp_gordon_katz --trials 32 --sample 3 > /dev/null
+./target/release/fair-trace replay exp_gordon_katz --jobs 2
 
 echo "== fair-scenario check (declarative scenario layer)"
 # Every checked-in scenario file must compile; the listing must expose
@@ -62,7 +66,7 @@ grep -q 'broken.toml:1: error:' "$BAD_DIR/err.txt"
 rm -rf "$BAD_DIR"
 
 echo "== reproduce smoke run (parallel, JSON records)"
-FAIR_TRIALS=100 ./target/release/reproduce --jobs 2 --trace --json target/simlab/reproduce_smoke.json e1 e4 e8 e13 e16 s_deposit_coin
+FAIR_TRIALS=100 ./target/release/reproduce --jobs 2 --trace --json target/simlab/reproduce_smoke.json e1 e4 e8 e12 e13 e16 s_deposit_coin
 
 # Starts fair-serve on an ephemeral port with the given flags and waits
 # for its ADDR= line; sets SERVE_PID and ADDR, or fails the gate.

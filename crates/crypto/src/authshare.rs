@@ -129,50 +129,12 @@ impl AuthShare {
     pub fn wire_len(&self) -> usize {
         8 * (1 + self.summand.len()) + MacTag::WIRE_LEN
     }
-
-    /// Parses a serialized share; `None` on malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Option<AuthShare> {
-        if bytes.len() < 16 || !bytes.len().is_multiple_of(8) {
-            return None;
-        }
-        let count = u64::from_be_bytes(bytes[..8].try_into().ok()?) as usize;
-        if bytes.len() != 8 * (count + 2) {
-            return None;
-        }
-        let mut elems = Vec::with_capacity(count + 1);
-        for chunk in bytes[8..].chunks(8) {
-            let v = u64::from_be_bytes(chunk.try_into().ok()?);
-            if v >= fair_field::MODULUS {
-                return None;
-            }
-            elems.push(Fp::new(v));
-        }
-        let tag = MacTag(elems.pop()?);
-        Some(AuthShare {
-            summand: elems,
-            summand_tag: tag,
-        })
-    }
 }
 
 impl AuthShareHolding {
-    /// Serializes the holding: the share followed by the 16-byte MAC key.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = self.share.to_bytes();
-        out.extend_from_slice(&self.key.to_bytes());
-        out
-    }
-
-    /// Parses a serialized holding; `None` on malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Option<AuthShareHolding> {
-        if bytes.len() < 16 {
-            return None;
-        }
-        let (share_bytes, key_bytes) = bytes.split_at(bytes.len() - 16);
-        Some(AuthShareHolding {
-            share: AuthShare::from_bytes(share_bytes)?,
-            key: MacKey::from_bytes(key_bytes)?,
-        })
+    /// Encoded size: the share's encoding followed by the 16-byte MAC key.
+    pub fn wire_len(&self) -> usize {
+        self.share.wire_len() + MacKey::WIRE_LEN
     }
 }
 
@@ -293,30 +255,16 @@ mod tests {
     }
 
     #[test]
-    fn share_and_holding_serialization_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let (h1, h2) = deal(&secret(), &mut rng);
-        let s2 = AuthShare::from_bytes(&h2.share.to_bytes()).expect("share roundtrip");
-        assert_eq!(s2, h2.share);
-        let h1b = AuthShareHolding::from_bytes(&h1.to_bytes()).expect("holding roundtrip");
-        assert_eq!(h1b, h1);
-        // Reconstruction still works after the serialization round trip.
-        assert_eq!(reconstruct(1, &h1b, &s2).unwrap(), secret());
-        // Malformed inputs rejected.
-        assert!(AuthShare::from_bytes(&[1, 2, 3]).is_none());
-        assert!(AuthShare::from_bytes(&[0u8; 8]).is_none());
-        assert!(AuthShareHolding::from_bytes(&[0u8; 5]).is_none());
-    }
-
-    #[test]
     fn wire_sizes_match_serializations() {
         for (seed, len) in [(7u64, 0usize), (8, 1), (9, 5)] {
             let mut rng = StdRng::seed_from_u64(seed);
             let s: Vec<Fp> = (0..len as u64).map(Fp::new).collect();
             let (h1, h2) = deal(&s, &mut rng);
-            for share in [&h1.share, &h2.share] {
-                assert_eq!(share.wire_len(), share.to_bytes().len());
-                assert_eq!(MacTag::WIRE_LEN, share.summand_tag.to_bytes().len());
+            for h in [&h1, &h2] {
+                assert_eq!(h.share.wire_len(), h.share.to_bytes().len());
+                assert_eq!(MacTag::WIRE_LEN, h.share.summand_tag.to_bytes().len());
+                // The key's two field elements, 8 bytes each.
+                assert_eq!(h.wire_len(), h.share.to_bytes().len() + 2 * 8);
             }
         }
     }

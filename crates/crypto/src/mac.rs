@@ -84,6 +84,9 @@ impl CtEq for MacTag {
 }
 
 impl MacKey {
+    /// Encoded size: two big-endian field elements.
+    pub const WIRE_LEN: usize = 16;
+
     /// Samples a fresh key.
     pub fn random<R: Rng + ?Sized>(rng: &mut R) -> MacKey {
         MacKey {
@@ -145,33 +148,6 @@ pub fn unpack_bytes(elems: &[Fp]) -> Option<Vec<u8>> {
         }
     }
     Some(out)
-}
-
-impl MacKey {
-    /// Serializes the key (16 bytes).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
-        out.extend_from_slice(&self.a.value().to_be_bytes());
-        out.extend_from_slice(&self.b.value().to_be_bytes());
-        out
-    }
-
-    /// Parses a serialized key; `None` on wrong length or non-canonical
-    /// field elements.
-    pub fn from_bytes(bytes: &[u8]) -> Option<MacKey> {
-        if bytes.len() != 16 {
-            return None;
-        }
-        let a = u64::from_be_bytes(bytes[..8].try_into().ok()?);
-        let b = u64::from_be_bytes(bytes[8..].try_into().ok()?);
-        if a >= fair_field::MODULUS || b >= fair_field::MODULUS {
-            return None;
-        }
-        Some(MacKey {
-            a: Fp::new(a),
-            b: Fp::new(b),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -246,19 +222,6 @@ mod tests {
         assert!(unpack_bytes(&[Fp::new(7)]).is_none());
         // Non-canonical high bits in a short final chunk.
         assert!(unpack_bytes(&[Fp::new(1), Fp::new(0x1_00)]).is_none());
-    }
-
-    #[test]
-    fn mac_key_serialization_roundtrips() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let k = MacKey::random(&mut rng);
-        let k2 = MacKey::from_bytes(&k.to_bytes()).expect("roundtrip");
-        assert_eq!(k, k2);
-        assert!(MacKey::from_bytes(&[0u8; 3]).is_none());
-        assert!(
-            MacKey::from_bytes(&[0xff; 16]).is_none(),
-            "non-canonical rejected"
-        );
     }
 
     proptest! {

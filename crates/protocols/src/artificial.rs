@@ -16,6 +16,8 @@
 //! than Π^Opt_nSFE's 1-adversary bound — yet the (n−1)-adversary utility is
 //! unchanged, so the protocol remains *optimally* fair (experiment E9).
 
+use std::sync::Arc;
+
 use fair_crypto::sign::{Signature, VerifyingKey};
 use fair_runtime::wire::{WireLen, TAG};
 use fair_runtime::{Adapted, Envelope, FuncId, Instance, OutMsg, Party, PartyId, RoundCtx, Value};
@@ -23,7 +25,7 @@ use fair_sfe::ideal::{SfeMsg, SfeWithAbort};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::optn::{priv_spec, NPartyFn};
+use crate::optn::{priv_spec, NPartyFn, PrivOutput};
 
 /// Rounds a party waits for the phase-1 result before concluding abort.
 const PHASE1_DEADLINE: usize = 8;
@@ -32,7 +34,7 @@ const PHASE1_DEADLINE: usize = 8;
 #[derive(Clone, Debug)]
 pub enum ArtMsg {
     /// Traffic to/from the phase-1 functionality.
-    Sfe(SfeMsg),
+    Sfe(SfeMsg<PrivOutput>),
     /// Step 2: the "0"-vote (`true` = the honest value 0).
     Vote(bool),
     /// Step 3: the signed output, broadcast or sent point-to-point.
@@ -49,7 +51,7 @@ impl WireLen for ArtMsg {
     }
 }
 
-fn down(m: &ArtMsg) -> Option<SfeMsg> {
+fn down(m: &ArtMsg) -> Option<SfeMsg<PrivOutput>> {
     match m {
         ArtMsg::Sfe(s) => Some(s.clone()),
         _ => None,
@@ -76,7 +78,7 @@ pub struct ArtParty {
     input: Value,
     /// Pre-drawn fair coin for step 3.
     coin_heads: bool,
-    vk: Option<VerifyingKey>,
+    vk: Option<Arc<VerifyingKey>>,
     mine: Option<Value>,
     votes: Vec<(PartyId, bool)>,
     reveals: Vec<Value>,
@@ -120,7 +122,7 @@ impl Party<ArtMsg> for ArtParty {
         if self.out.is_some() {
             return Vec::new();
         }
-        let mut sfe: Option<SfeMsg> = None;
+        let mut sfe: Option<SfeMsg<PrivOutput>> = None;
         for e in inbox {
             match (&e.msg, e.from_party()) {
                 (ArtMsg::Sfe(m), None) => sfe = Some(m.clone()),
@@ -138,18 +140,7 @@ impl Party<ArtMsg> for ArtParty {
                     )];
                 }
                 match sfe {
-                    Some(SfeMsg::Output(v)) => {
-                        let parsed = match &v {
-                            Value::Pair(mine, vkb) => vkb
-                                .as_bytes()
-                                .and_then(VerifyingKey::from_bytes)
-                                .map(|vk| ((**mine).clone(), vk)),
-                            _ => None,
-                        };
-                        let Some((mine, vk)) = parsed else {
-                            self.out = Some(Value::Bot);
-                            return Vec::new();
-                        };
+                    Some(SfeMsg::Output(PrivOutput { mine, vk })) => {
                         self.vk = Some(vk);
                         self.mine = Some(mine);
                         self.phase = Phase::AwaitVotes {
@@ -291,8 +282,8 @@ impl fair_runtime::Adversary<ArtMsg> for VoteOneAttack {
         // Inspect deliveries: the phase-1 output and any reveals.
         for e in view.delivered {
             match &e.msg {
-                ArtMsg::Sfe(SfeMsg::Output(Value::Pair(mine, _))) => {
-                    if let Value::Pair(y, _) = &**mine {
+                ArtMsg::Sfe(SfeMsg::Output(dealt)) => {
+                    if let Value::Pair(y, _) = &dealt.mine {
                         // We are the holder: grab y and abort.
                         self.learned = Some((**y).clone());
                         self.holder = true;

@@ -18,6 +18,8 @@
 //! remaining ⌊n/2⌋ honest parties stay below the threshold (see
 //! [`HalfCoalition`]).
 
+use std::sync::Arc;
+
 use fair_crypto::commit::{self, Commitment, Opening};
 use fair_crypto::prg::Prg;
 use fair_crypto::share::{shamir_reconstruct, shamir_share, ShamirShare};
@@ -47,11 +49,46 @@ pub fn threshold(n: usize) -> usize {
     n / 2 + 1
 }
 
+/// A party's phase-1 output: the encrypted output, its key share with the
+/// opening randomness of the share's commitment, and the commitments to
+/// all n shares, one allocation shared by all parties.
+#[derive(Clone, Debug)]
+pub struct HalfOutput {
+    /// The output y encrypted under the one-time key k.
+    pub ct: Vec<u8>,
+    /// This party's Shamir share of k: its index…
+    pub index: u64,
+    /// …and its value.
+    pub value: u64,
+    /// The opening randomness of the commitment to this party's share.
+    pub randomness: Vec<u8>,
+    /// The commitments to all n shares, by index − 1.
+    pub commitments: Arc<[Commitment]>,
+}
+
+/// Sized as the `Value` tuple (ciphertext, index, value, randomness,
+/// commitments) with each commitment a byte string of its digest.
+impl WireLen for HalfOutput {
+    fn wire_len(&self) -> usize {
+        let digests = self
+            .commitments
+            .iter()
+            .map(|_| Value::bytes_wire_len(Commitment::WIRE_LEN));
+        Value::tuple_wire_len([
+            Value::bytes_wire_len(self.ct.len()),
+            Value::Scalar(self.index).wire_len(),
+            Value::Scalar(self.value).wire_len(),
+            Value::bytes_wire_len(self.randomness.len()),
+            Value::tuple_wire_len(digests),
+        ])
+    }
+}
+
 /// Wire messages.
 #[derive(Clone, Debug)]
 pub enum HalfMsg {
     /// Traffic to/from the phase-1 functionality.
-    Sfe(SfeMsg),
+    Sfe(SfeMsg<HalfOutput>),
     /// Phase 2 broadcast: an opened key share (index, value, opening
     /// randomness).
     KeyShare(u64, u64, Vec<u8>),
@@ -66,7 +103,7 @@ impl WireLen for HalfMsg {
     }
 }
 
-fn down(m: &HalfMsg) -> Option<SfeMsg> {
+fn down(m: &HalfMsg) -> Option<SfeMsg<HalfOutput>> {
     match m {
         HalfMsg::Sfe(s) => Some(s.clone()),
         HalfMsg::KeyShare(..) => None,
@@ -91,7 +128,7 @@ pub fn decrypt(ct: &[u8], k: Fp) -> Option<Value> {
 /// Party j receives the ciphertext, its share (index, value), the opening
 /// randomness of the commitment to that share, and the commitments to all
 /// n shares. Records facts `y` and `threshold`.
-pub fn half_spec(name: &str, n: usize, f: NPartyFn) -> IdealSpec {
+pub fn half_spec(name: &str, n: usize, f: NPartyFn) -> IdealSpec<HalfOutput> {
     IdealSpec::new(name, n, move |inputs, rng| {
         let y = f(inputs);
         let k = fair_crypto::prg::random_fp(rng);
@@ -104,23 +141,16 @@ pub fn half_spec(name: &str, n: usize, f: NPartyFn) -> IdealSpec {
             .iter()
             .map(|s| commit::commit(&share_payload(s.index, s.value.value()), rng))
             .unzip();
-        let published = Value::Tuple(
-            commitments
-                .iter()
-                .map(|c| Value::Bytes(c.0.to_vec()))
-                .collect(),
-        );
+        let commitments: Arc<[Commitment]> = commitments.into();
         let per_party = shares
             .iter()
             .zip(openings)
-            .map(|(s, o)| {
-                Value::Tuple(vec![
-                    Value::Bytes(ct.clone()),
-                    Value::Scalar(s.index),
-                    Value::Scalar(s.value.value()),
-                    Value::Bytes(o.randomness),
-                    published.clone(),
-                ])
+            .map(|(s, o)| HalfOutput {
+                ct: ct.clone(),
+                index: s.index,
+                value: s.value.value(),
+                randomness: o.randomness,
+                commitments: Arc::clone(&commitments),
             })
             .collect();
         IdealOutput {
@@ -143,9 +173,7 @@ enum Phase {
 #[derive(Clone, Debug)]
 pub struct HalfParty {
     input: Value,
-    ct: Option<Vec<u8>>,
-    my_share: Option<(u64, u64, Vec<u8>)>,
-    commitments: Vec<Commitment>,
+    dealt: Option<HalfOutput>,
     received: Vec<(u64, u64, Vec<u8>)>,
     phase: Phase,
     out: Option<Value>,
@@ -156,9 +184,7 @@ impl HalfParty {
     pub fn new(input: Value) -> HalfParty {
         HalfParty {
             input,
-            ct: None,
-            my_share: None,
-            commitments: Vec::new(),
+            dealt: None,
             received: Vec::new(),
             phase: Phase::AwaitShareGen,
             out: None,
@@ -168,7 +194,11 @@ impl HalfParty {
     /// A share is valid iff it opens the commitment published for its
     /// index.
     fn valid_share(&self, index: u64, value: u64, randomness: &[u8]) -> bool {
-        let Some(c) = self.commitments.get((index as usize).wrapping_sub(1)) else {
+        let Some(c) = self
+            .dealt
+            .as_ref()
+            .and_then(|d| d.commitments.get((index as usize).wrapping_sub(1)))
+        else {
             return false;
         };
         let opening = Opening {
@@ -182,8 +212,8 @@ impl HalfParty {
         let t = threshold(n);
         let mut shares: Vec<ShamirShare> = Vec::new();
         let mut mine_and_received = self.received.clone();
-        if let Some(m) = &self.my_share {
-            mine_and_received.push(m.clone());
+        if let Some(d) = &self.dealt {
+            mine_and_received.push((d.index, d.value, d.randomness.clone()));
         }
         for (index, value, r) in &mine_and_received {
             if !self.valid_share(*index, *value, r) {
@@ -200,7 +230,7 @@ impl HalfParty {
         let out = if shares.len() >= t {
             shamir_reconstruct(&shares, t)
                 .ok()
-                .and_then(|k| self.ct.as_ref().and_then(|ct| decrypt(ct, k)))
+                .and_then(|k| self.dealt.as_ref().and_then(|d| decrypt(&d.ct, k)))
                 .unwrap_or(Value::Bot)
         } else {
             Value::Bot
@@ -214,7 +244,7 @@ impl Party<HalfMsg> for HalfParty {
         if self.out.is_some() {
             return Vec::new();
         }
-        let mut sfe: Option<SfeMsg> = None;
+        let mut sfe: Option<SfeMsg<HalfOutput>> = None;
         for e in inbox {
             match &e.msg {
                 HalfMsg::Sfe(m) if matches!(e.from, fair_runtime::Endpoint::Func(_)) => {
@@ -233,36 +263,14 @@ impl Party<HalfMsg> for HalfParty {
                     )];
                 }
                 match sfe {
-                    Some(SfeMsg::Output(v)) => {
-                        let parsed = (|| {
-                            let Value::Tuple(parts) = &v else { return None };
-                            let [ct, index, value, r, cs] = parts.as_slice() else {
-                                return None;
-                            };
-                            let Value::Tuple(cs) = cs else { return None };
-                            let cs: Option<Vec<Commitment>> = cs
-                                .iter()
-                                .map(|c| Some(Commitment(c.as_bytes()?.try_into().ok()?)))
-                                .collect();
-                            Some((
-                                ct.as_bytes()?.to_vec(),
-                                index.as_scalar()?,
-                                value.as_scalar()?,
-                                r.as_bytes()?.to_vec(),
-                                cs?,
-                            ))
-                        })();
-                        let Some((ct, index, value, r, cs)) = parsed else {
-                            self.out = Some(Value::Bot);
-                            return Vec::new();
-                        };
-                        self.ct = Some(ct);
-                        self.my_share = Some((index, value, r.clone()));
-                        self.commitments = cs;
+                    Some(SfeMsg::Output(dealt)) => {
+                        let share =
+                            HalfMsg::KeyShare(dealt.index, dealt.value, dealt.randomness.clone());
+                        self.dealt = Some(dealt);
                         self.phase = Phase::AwaitShares {
                             deadline: ctx.round + 2,
                         };
-                        vec![OutMsg::broadcast(HalfMsg::KeyShare(index, value, r))]
+                        vec![OutMsg::broadcast(share)]
                     }
                     Some(SfeMsg::Abort) => {
                         self.out = Some(Value::Bot);
@@ -375,19 +383,13 @@ impl Adversary<HalfMsg> for HalfCoalition {
     ) {
         // Harvest the coalition's own phase-1 outputs.
         for e in view.delivered {
-            if let HalfMsg::Sfe(SfeMsg::Output(Value::Tuple(parts))) = &e.msg {
-                if let [ct, index, value, ..] = parts.as_slice() {
-                    if let (Some(ct), Some(i), Some(v)) =
-                        (ct.as_bytes(), index.as_scalar(), value.as_scalar())
-                    {
-                        self.ct = Some(ct.to_vec());
-                        if !self.collected.iter().any(|(j, _)| *j == i) {
-                            self.collected.push((i, v));
-                        }
-                        // From the moment we hold shares, never release them.
-                        self.withholding = true;
-                    }
+            if let HalfMsg::Sfe(SfeMsg::Output(dealt)) = &e.msg {
+                self.ct = Some(dealt.ct.clone());
+                if !self.collected.iter().any(|(j, _)| *j == dealt.index) {
+                    self.collected.push((dealt.index, dealt.value));
                 }
+                // From the moment we hold shares, never release them.
+                self.withholding = true;
             }
         }
         // Rushing: read the honest shares broadcast this round.

@@ -137,11 +137,44 @@ impl GkConfig {
     }
 }
 
+/// A party's ShareGen output: authenticated sharings of the candidates it
+/// reconstructs, its shares of the counterparty's candidates, and its
+/// candidate before round 1.
+#[derive(Clone, Debug)]
+pub struct ShareGenOutput {
+    /// This party's holdings of its own candidates, rounds 1..=m.
+    pub holdings: Vec<AuthShareHolding>,
+    /// This party's shares of the counterparty's candidates, rounds 1..=m.
+    pub shares: Vec<AuthShare>,
+    /// The candidate output before round 1.
+    pub default: Value,
+}
+
+/// Sized as the `Value` tuple `(holdings, shares, default)` whose first two
+/// entries are tuples of the serialized holdings and shares.
+impl WireLen for ShareGenOutput {
+    fn wire_len(&self) -> usize {
+        let holdings = self
+            .holdings
+            .iter()
+            .map(|h| Value::bytes_wire_len(h.wire_len()));
+        let shares = self
+            .shares
+            .iter()
+            .map(|s| Value::bytes_wire_len(s.wire_len()));
+        Value::tuple_wire_len([
+            Value::tuple_wire_len(holdings),
+            Value::tuple_wire_len(shares),
+            self.default.wire_len(),
+        ])
+    }
+}
+
 /// Wire messages of the Gordon–Katz protocols.
 #[derive(Clone, Debug)]
 pub enum GkMsg {
     /// Traffic to/from the ShareGen functionality.
-    Sfe(SfeMsg),
+    Sfe(SfeMsg<ShareGenOutput>),
     /// p₂ → p₁ in round i: p₂'s share of p₁'s candidate a_i.
     AShare(u64, AuthShare),
     /// p₁ → p₂ in round i: p₁'s share of p₂'s candidate b_i.
@@ -157,43 +190,17 @@ impl WireLen for GkMsg {
     }
 }
 
-fn down(m: &GkMsg) -> Option<SfeMsg> {
+fn down(m: &GkMsg) -> Option<SfeMsg<ShareGenOutput>> {
     match m {
         GkMsg::Sfe(s) => Some(s.clone()),
         _ => None,
     }
 }
 
-fn encode_holdings(hs: &[AuthShareHolding]) -> Value {
-    Value::Tuple(hs.iter().map(|h| Value::Bytes(h.to_bytes())).collect())
-}
-
-fn encode_shares(ss: &[AuthShare]) -> Value {
-    Value::Tuple(ss.iter().map(|s| Value::Bytes(s.to_bytes())).collect())
-}
-
-fn decode_holdings(v: &Value) -> Option<Vec<AuthShareHolding>> {
-    let Value::Tuple(parts) = v else { return None };
-    parts
-        .iter()
-        .map(|p| p.as_bytes().and_then(AuthShareHolding::from_bytes))
-        .collect()
-}
-
-fn decode_shares(v: &Value) -> Option<Vec<AuthShare>> {
-    let Value::Tuple(parts) = v else { return None };
-    parts
-        .iter()
-        .map(|p| p.as_bytes().and_then(AuthShare::from_bytes))
-        .collect()
-}
-
 /// The ShareGen specification: candidate sequences, dealt as authenticated
-/// 2-of-2 sharings. Records facts `y` and `i_star`.
-///
-/// Each party's phase-1 output is
-/// `Tuple[ holdings(own candidates), shares(counterparty candidates), default ]`.
-pub fn sharegen_spec(name: &str, cfg: GkConfig) -> IdealSpec {
+/// 2-of-2 sharings, handed to each party as a [`ShareGenOutput`]. Records
+/// facts `y` and `i_star`.
+pub fn sharegen_spec(name: &str, cfg: GkConfig) -> IdealSpec<ShareGenOutput> {
     IdealSpec::new(name, 2, move |inputs, rng| {
         let y = (cfg.f)(&inputs[0], &inputs[1]);
         let i_star = cfg.sample_i_star(rng);
@@ -227,16 +234,16 @@ pub fn sharegen_spec(name: &str, cfg: GkConfig) -> IdealSpec {
                 ("i_star".to_string(), Value::Scalar(i_star as u64)),
             ],
             per_party: vec![
-                Value::Tuple(vec![
-                    encode_holdings(&a_holdings),
-                    encode_shares(&b_shares),
-                    a0,
-                ]),
-                Value::Tuple(vec![
-                    encode_holdings(&b_holdings),
-                    encode_shares(&a_shares),
-                    b0,
-                ]),
+                ShareGenOutput {
+                    holdings: a_holdings,
+                    shares: b_shares,
+                    default: a0,
+                },
+                ShareGenOutput {
+                    holdings: b_holdings,
+                    shares: a_shares,
+                    default: b0,
+                },
             ],
         }
     })
@@ -342,7 +349,7 @@ impl Party<GkMsg> for GkParty {
         if self.out.is_some() {
             return Vec::new();
         }
-        let mut sfe: Option<&SfeMsg> = None;
+        let mut sfe: Option<&SfeMsg<ShareGenOutput>> = None;
         for e in inbox {
             match &e.msg {
                 GkMsg::Sfe(s) if matches!(e.from, fair_runtime::Endpoint::Func(_)) => {
@@ -384,7 +391,11 @@ impl Party<GkMsg> for GkParty {
 }
 
 impl GkParty {
-    fn dispatch(&mut self, ctx: &RoundCtx, sfe: Option<&SfeMsg>) -> Vec<OutMsg<GkMsg>> {
+    fn dispatch(
+        &mut self,
+        ctx: &RoundCtx,
+        sfe: Option<&SfeMsg<ShareGenOutput>>,
+    ) -> Vec<OutMsg<GkMsg>> {
         match &self.phase {
             Phase::AwaitShareGen => {
                 if ctx.round == 0 {
@@ -394,25 +405,10 @@ impl GkParty {
                     )];
                 }
                 match sfe {
-                    Some(SfeMsg::Output(v)) => {
-                        let parsed = (|| {
-                            let Value::Tuple(parts) = &v else { return None };
-                            let [h, s, d] = parts.as_slice() else {
-                                return None;
-                            };
-                            Some((decode_holdings(h)?, decode_shares(s)?, d.clone()))
-                        })();
-                        let Some((holdings, shares, default)) = parsed else {
-                            self.out = Some(Value::Bot);
-                            return Vec::new();
-                        };
-                        if holdings.len() != self.m || shares.len() != self.m {
-                            self.out = Some(Value::Bot);
-                            return Vec::new();
-                        }
-                        self.holdings = holdings;
-                        self.shares = shares;
-                        self.latest = Some(default);
+                    Some(SfeMsg::Output(dealt)) => {
+                        self.holdings = dealt.holdings.clone();
+                        self.shares = dealt.shares.clone();
+                        self.latest = Some(dealt.default.clone());
                         self.phase = Phase::Exchanging;
                         self.last_progress = ctx.round;
                         if self.me == 2 {
@@ -566,10 +562,8 @@ impl Adversary<GkMsg> for GkAttack {
         }
         // Harvest our holdings from the ShareGen output.
         for e in view.delivered {
-            if let GkMsg::Sfe(SfeMsg::Output(Value::Tuple(parts))) = &e.msg {
-                if let Some(h) = parts.first().and_then(decode_holdings) {
-                    self.holdings = h;
-                }
+            if let GkMsg::Sfe(SfeMsg::Output(dealt)) = &e.msg {
+                self.holdings = dealt.holdings.clone();
             }
         }
         // Reconstruct any candidate delivered this round or visible by
@@ -780,7 +774,21 @@ mod tests {
             summand: vec![fair_field::Fp::new(1)],
             summand_tag: fair_crypto::mac::MacTag(fair_field::Fp::new(2)),
         };
-        assert_eq!(GkMsg::Sfe(SfeMsg::Output(Value::Bot)).wire_len(), 1 + 1 + 1);
+        let holding = AuthShareHolding {
+            share: share.clone(),
+            key: fair_crypto::mac::MacKey::random(&mut StdRng::seed_from_u64(0)),
+        };
+        let dealt = ShareGenOutput {
+            holdings: vec![holding],
+            shares: vec![share.clone()],
+            default: Value::Bot,
+        };
+        // The tuple (holdings, shares, ⊥): one 24-byte share, and one
+        // holding of that share plus its 16-byte key.
+        assert_eq!(
+            GkMsg::Sfe(SfeMsg::Output(dealt)).wire_len(),
+            1 + 1 + (1 + 4) + (1 + 4 + (1 + 4 + 40)) + (1 + 4 + (1 + 4 + 24)) + 1
+        );
         assert_eq!(
             GkMsg::AShare(3, share.clone()).wire_len(),
             1 + 8 + 8 + 8 + 8

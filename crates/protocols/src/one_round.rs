@@ -24,11 +24,22 @@ use crate::opt2::TwoPartyFn;
 /// Rounds a party waits for the phase-1 result before concluding abort.
 const PHASE1_DEADLINE: usize = 8;
 
+/// A party's phase-1 output: its additive summand of the packed output.
+#[derive(Clone, Debug)]
+pub struct DealtSummand(pub Vec<Fp>);
+
+/// Sized as the `Value` tuple of the summand's elements as scalars.
+impl WireLen for DealtSummand {
+    fn wire_len(&self) -> usize {
+        Value::tuple_wire_len(self.0.iter().map(|x| Value::Scalar(x.value()).wire_len()))
+    }
+}
+
 /// Wire messages.
 #[derive(Clone, Debug)]
 pub enum OneRoundMsg {
     /// Traffic to/from the phase-1 functionality.
-    Sfe(SfeMsg),
+    Sfe(SfeMsg<DealtSummand>),
     /// Phase 2: this party's summand (field elements as u64s).
     Summand(Vec<u64>),
 }
@@ -42,7 +53,7 @@ impl WireLen for OneRoundMsg {
     }
 }
 
-fn down(m: &OneRoundMsg) -> Option<SfeMsg> {
+fn down(m: &OneRoundMsg) -> Option<SfeMsg<DealtSummand>> {
     match m {
         OneRoundMsg::Sfe(s) => Some(s.clone()),
         OneRoundMsg::Summand(_) => None,
@@ -50,17 +61,14 @@ fn down(m: &OneRoundMsg) -> Option<SfeMsg> {
 }
 
 /// Phase-1 spec: a plain additive sharing of the packed output.
-pub fn one_round_spec(name: &str, f: TwoPartyFn) -> IdealSpec {
+pub fn one_round_spec(name: &str, f: TwoPartyFn) -> IdealSpec<DealtSummand> {
     IdealSpec::new(name, 2, move |inputs, rng| {
         let y = f(&inputs[0], &inputs[1]);
         let packed = pack_bytes(&y.encode());
         let shares = additive_share_vec(&packed, 2, rng);
         IdealOutput {
             facts: vec![("y".to_string(), y.clone())],
-            per_party: shares
-                .iter()
-                .map(|s| Value::Tuple(s.iter().map(|x| Value::Scalar(x.value())).collect()))
-                .collect(),
+            per_party: shares.into_iter().map(DealtSummand).collect(),
         }
     })
 }
@@ -118,7 +126,7 @@ impl Party<OneRoundMsg> for OneRoundParty {
         if self.out.is_some() {
             return Vec::new();
         }
-        let mut sfe: Option<SfeMsg> = None;
+        let mut sfe: Option<SfeMsg<DealtSummand>> = None;
         for e in inbox {
             match &e.msg {
                 OneRoundMsg::Sfe(m) if matches!(e.from, fair_runtime::Endpoint::Func(_)) => {
@@ -142,13 +150,7 @@ impl Party<OneRoundMsg> for OneRoundParty {
                     )];
                 }
                 match sfe {
-                    Some(SfeMsg::Output(Value::Tuple(vals))) => {
-                        let mine: Option<Vec<Fp>> =
-                            vals.iter().map(|v| v.as_scalar().map(Fp::new)).collect();
-                        let Some(mine) = mine else {
-                            self.out = Some(Value::Bot);
-                            return Vec::new();
-                        };
+                    Some(SfeMsg::Output(DealtSummand(mine))) => {
                         let msg = OneRoundMsg::Summand(mine.iter().map(|x| x.value()).collect());
                         self.my_summand = Some(mine);
                         self.phase = Phase::AwaitSummand {
@@ -249,8 +251,8 @@ impl fair_runtime::Adversary<OneRoundMsg> for OneRoundRusher {
             );
         }
         for e in view.delivered {
-            if let OneRoundMsg::Sfe(SfeMsg::Output(Value::Tuple(vals))) = &e.msg {
-                self.mine = vals.iter().map(|v| v.as_scalar().map(Fp::new)).collect();
+            if let OneRoundMsg::Sfe(SfeMsg::Output(DealtSummand(mine))) = &e.msg {
+                self.mine = Some(mine.clone());
             }
         }
         for e in view.rushing {

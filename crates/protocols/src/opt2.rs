@@ -37,12 +37,32 @@ pub type TwoPartyFn = Arc<dyn Fn(&Value, &Value) -> Value + Send + Sync>;
 /// evaluation aborted.
 const PHASE1_DEADLINE: usize = 8;
 
+/// A party's f′ output: its holding of the sharing of y and the index i*
+/// of the party the sharing is reconstructed towards first.
+#[derive(Clone, Debug)]
+pub struct FPrimeOutput {
+    /// This party's authenticated share of (the packed encoding of) y.
+    pub holding: AuthShareHolding,
+    /// The designated party i* ∈ {1, 2}.
+    pub i_star: u64,
+}
+
+/// Sized as the `Value` pair (serialized holding, i*).
+impl WireLen for FPrimeOutput {
+    fn wire_len(&self) -> usize {
+        Value::pair_wire_len(
+            Value::bytes_wire_len(self.holding.wire_len()),
+            Value::Scalar(self.i_star).wire_len(),
+        )
+    }
+}
+
 /// Wire messages of Π^Opt_2SFE: hybrid traffic plus the reconstruction
 /// share.
 #[derive(Clone, Debug)]
 pub enum Opt2Msg {
     /// Traffic to/from the phase-1 functionality.
-    Sfe(SfeMsg),
+    Sfe(SfeMsg<FPrimeOutput>),
     /// Phase 2: the counterparty's authenticated share.
     Share(AuthShare),
 }
@@ -56,7 +76,7 @@ impl WireLen for Opt2Msg {
     }
 }
 
-fn down(m: &Opt2Msg) -> Option<SfeMsg> {
+fn down(m: &Opt2Msg) -> Option<SfeMsg<FPrimeOutput>> {
     match m {
         Opt2Msg::Sfe(s) => Some(s.clone()),
         Opt2Msg::Share(_) => None,
@@ -66,7 +86,7 @@ fn down(m: &Opt2Msg) -> Option<SfeMsg> {
 /// The f′ specification: computes y = f(x₁, x₂), deals an authenticated
 /// sharing of (the packed encoding of) y, picks i* ∈ {1, 2} uniformly, and
 /// outputs `(holding_i, i*)` to each party. Records facts `y` and `i_star`.
-pub fn f_prime_spec(name: &str, f: TwoPartyFn) -> IdealSpec {
+pub fn f_prime_spec(name: &str, f: TwoPartyFn) -> IdealSpec<FPrimeOutput> {
     f_prime_spec_biased(name, f, 0.5)
 }
 
@@ -78,21 +98,28 @@ pub fn f_prime_spec(name: &str, f: TwoPartyFn) -> IdealSpec {
 /// # Panics
 ///
 /// Panics unless `0.0 <= q <= 1.0`.
-pub fn f_prime_spec_biased(name: &str, f: TwoPartyFn, q: f64) -> IdealSpec {
+pub fn f_prime_spec_biased(name: &str, f: TwoPartyFn, q: f64) -> IdealSpec<FPrimeOutput> {
     assert!((0.0..=1.0).contains(&q), "probability in [0, 1]");
     IdealSpec::new(name, 2, move |inputs, rng| {
         let y = f(&inputs[0], &inputs[1]);
         let packed = pack_bytes(&y.encode());
         let (h1, h2) = authshare::deal(&packed, rng);
         let i_star = if rng.random_bool(q) { 1u64 } else { 2u64 };
-        let out =
-            |h: &AuthShareHolding| Value::pair(Value::Bytes(h.to_bytes()), Value::Scalar(i_star));
         IdealOutput {
             facts: vec![
                 ("y".to_string(), y.clone()),
                 ("i_star".to_string(), Value::Scalar(i_star)),
             ],
-            per_party: vec![out(&h1), out(&h2)],
+            per_party: vec![
+                FPrimeOutput {
+                    holding: h1,
+                    i_star,
+                },
+                FPrimeOutput {
+                    holding: h2,
+                    i_star,
+                },
+            ],
         }
     })
 }
@@ -201,7 +228,7 @@ impl Party<Opt2Msg> for Opt2Party {
             return Vec::new();
         }
         // Absorb messages.
-        let mut sfe: Option<SfeMsg> = None;
+        let mut sfe: Option<SfeMsg<FPrimeOutput>> = None;
         for e in inbox {
             match &e.msg {
                 Opt2Msg::Sfe(m) if matches!(e.from, fair_runtime::Endpoint::Func(_)) => {
@@ -235,7 +262,11 @@ impl Party<Opt2Msg> for Opt2Party {
 }
 
 impl Opt2Party {
-    fn dispatch(&mut self, ctx: &RoundCtx, sfe: &Option<SfeMsg>) -> Vec<OutMsg<Opt2Msg>> {
+    fn dispatch(
+        &mut self,
+        ctx: &RoundCtx,
+        sfe: &Option<SfeMsg<FPrimeOutput>>,
+    ) -> Vec<OutMsg<Opt2Msg>> {
         match &self.phase {
             Phase::AwaitShareGen => {
                 if ctx.round == 0 {
@@ -245,24 +276,9 @@ impl Opt2Party {
                     )];
                 }
                 match sfe {
-                    Some(SfeMsg::Output(v)) => {
-                        // Parse (holding, i*).
-                        let parsed = match &v {
-                            Value::Pair(h, istar) => match (&**h, &**istar) {
-                                (Value::Bytes(hb), Value::Scalar(i)) => {
-                                    AuthShareHolding::from_bytes(hb).map(|h| (h, *i))
-                                }
-                                _ => None,
-                            },
-                            _ => None,
-                        };
-                        let Some((holding, i_star)) = parsed else {
-                            // Malformed functionality output: treat as abort.
-                            self.out = Some(self.default_eval());
-                            return Vec::new();
-                        };
-                        self.holding = Some(holding);
-                        if i_star == self.me as u64 {
+                    Some(SfeMsg::Output(dealt)) => {
+                        self.holding = Some(dealt.holding.clone());
+                        if dealt.i_star == self.me as u64 {
                             // Reconstruction comes to us first.
                             self.phase = Phase::AwaitFirstReconstruction {
                                 deadline: ctx.round + 3,
@@ -484,14 +500,10 @@ mod tests {
                 if view.round == 0 {
                     ctrl.run_honestly(PartyId(0));
                 } else {
-                    let bogus = AuthShare::from_bytes(
-                        &AuthShare {
-                            summand: vec![fair_field::Fp::new(1), fair_field::Fp::new(2)],
-                            summand_tag: fair_crypto::mac::MacTag(fair_field::Fp::new(3)),
-                        }
-                        .to_bytes(),
-                    )
-                    .expect("well-formed bogus share");
+                    let bogus = AuthShare {
+                        summand: vec![fair_field::Fp::new(1), fair_field::Fp::new(2)],
+                        summand_tag: fair_crypto::mac::MacTag(fair_field::Fp::new(3)),
+                    };
                     ctrl.send_as(
                         PartyId(0),
                         OutMsg::to_party(PartyId(1), Opt2Msg::Share(bogus)),

@@ -28,11 +28,32 @@ pub type NPartyFn = Arc<dyn Fn(&[Value]) -> Value + Send + Sync>;
 /// Rounds a party waits for the phase-1 result before concluding abort.
 const PHASE1_DEADLINE: usize = 8;
 
+/// A party's F^{f,⊥}_priv-sfe output: its phase-2 announcement — the
+/// signed pair (y, σ) for p_{i*}, ⊥ for everyone else — and the
+/// verification key, one allocation shared by all parties.
+#[derive(Clone, Debug)]
+pub struct PrivOutput {
+    /// The value this party broadcasts in phase 2.
+    pub mine: Value,
+    /// The one-time verification key σ is checked against.
+    pub vk: Arc<VerifyingKey>,
+}
+
+/// Sized as the `Value` pair (announcement, serialized verification key).
+impl WireLen for PrivOutput {
+    fn wire_len(&self) -> usize {
+        Value::pair_wire_len(
+            self.mine.wire_len(),
+            Value::bytes_wire_len(self.vk.wire_len()),
+        )
+    }
+}
+
 /// Wire messages of Π^Opt_nSFE.
 #[derive(Clone, Debug)]
 pub enum OptnMsg {
     /// Traffic to/from the phase-1 functionality.
-    Sfe(SfeMsg),
+    Sfe(SfeMsg<PrivOutput>),
     /// Phase 2: broadcast of a party's private phase-1 output
     /// (⊥, or the signed output pair).
     Announce(Value),
@@ -47,7 +68,7 @@ impl WireLen for OptnMsg {
     }
 }
 
-fn down(m: &OptnMsg) -> Option<SfeMsg> {
+fn down(m: &OptnMsg) -> Option<SfeMsg<PrivOutput>> {
     match m {
         OptnMsg::Sfe(s) => Some(s.clone()),
         OptnMsg::Announce(_) => None,
@@ -57,21 +78,21 @@ fn down(m: &OptnMsg) -> Option<SfeMsg> {
 /// The F^{f,⊥}_priv-sfe specification (Appendix B): one uniformly chosen
 /// party privately receives the signed output; everyone receives the
 /// verification key. Records facts `y` and `i_star` (1-based).
-pub fn priv_spec(name: &str, n: usize, f: NPartyFn) -> IdealSpec {
+pub fn priv_spec(name: &str, n: usize, f: NPartyFn) -> IdealSpec<PrivOutput> {
     IdealSpec::new(name, n, move |inputs, rng| {
         let y = f(inputs);
         let (sk, vk) = sign::keygen(rng);
         let sig = sign::sign(&sk, &y.encode());
         let i_star = rng.random_range(0..inputs.len());
-        let vk_bytes = Value::Bytes(vk.to_bytes());
+        let vk = Arc::new(vk);
         let per_party = (0..inputs.len())
-            .map(|j| {
-                let mine = if j == i_star {
+            .map(|j| PrivOutput {
+                mine: if j == i_star {
                     Value::pair(y.clone(), Value::Bytes(sig.to_bytes()))
                 } else {
                     Value::Bot
-                };
-                Value::pair(mine, vk_bytes.clone())
+                },
+                vk: Arc::clone(&vk),
             })
             .collect();
         IdealOutput {
@@ -98,7 +119,7 @@ enum Phase {
 #[derive(Clone, Debug)]
 pub struct OptnParty {
     input: Value,
-    vk: Option<VerifyingKey>,
+    vk: Option<Arc<VerifyingKey>>,
     mine: Option<Value>,
     announces: Vec<Value>,
     phase: Phase,
@@ -154,7 +175,7 @@ impl Party<OptnMsg> for OptnParty {
         if self.out.is_some() {
             return Vec::new();
         }
-        let mut sfe: Option<SfeMsg> = None;
+        let mut sfe: Option<SfeMsg<PrivOutput>> = None;
         for e in inbox {
             match &e.msg {
                 OptnMsg::Sfe(m) if matches!(e.from, fair_runtime::Endpoint::Func(_)) => {
@@ -173,19 +194,7 @@ impl Party<OptnMsg> for OptnParty {
                     )];
                 }
                 match sfe {
-                    Some(SfeMsg::Output(v)) => {
-                        // Parse (mine, vk).
-                        let parsed = match &v {
-                            Value::Pair(mine, vkb) => vkb
-                                .as_bytes()
-                                .and_then(VerifyingKey::from_bytes)
-                                .map(|vk| ((**mine).clone(), vk)),
-                            _ => None,
-                        };
-                        let Some((mine, vk)) = parsed else {
-                            self.out = Some(Value::Bot);
-                            return Vec::new();
-                        };
+                    Some(SfeMsg::Output(PrivOutput { mine, vk })) => {
                         self.vk = Some(vk);
                         self.mine = Some(mine.clone());
                         self.phase = Phase::AwaitAnnounces {

@@ -167,17 +167,36 @@ impl Value {
     }
 }
 
+impl Value {
+    /// Encoded size of a `Value::Bytes` of `n` bytes.
+    pub const fn bytes_wire_len(n: usize) -> usize {
+        TAG + bytes_len(n)
+    }
+
+    /// Encoded size of a `Value::Pair` of values of the given sizes.
+    pub const fn pair_wire_len(a: usize, b: usize) -> usize {
+        TAG + a + b
+    }
+
+    /// Encoded size of a `Value::Tuple` of values of the given sizes.
+    pub fn tuple_wire_len(elems: impl IntoIterator<Item = usize>) -> usize {
+        TAG + LEN_PREFIX + elems.into_iter().sum::<usize>()
+    }
+}
+
 /// One tag byte, then the variant's fields: a scalar is one integer, a byte
 /// string is length-prefixed, a pair is its two values back to back, and a
-/// tuple is an element count followed by its values.
+/// tuple is an element count followed by its values. Types that stand in
+/// for a `Value` layout size themselves through [`Value::bytes_wire_len`],
+/// [`Value::pair_wire_len`] and [`Value::tuple_wire_len`].
 impl WireLen for Value {
     fn wire_len(&self) -> usize {
-        TAG + match self {
-            Value::Bot => 0,
-            Value::Scalar(_) => INT,
-            Value::Bytes(b) => bytes_len(b.len()),
-            Value::Pair(a, b) => a.wire_len() + b.wire_len(),
-            Value::Tuple(vs) => LEN_PREFIX + vs.iter().map(WireLen::wire_len).sum::<usize>(),
+        match self {
+            Value::Bot => TAG,
+            Value::Scalar(_) => TAG + INT,
+            Value::Bytes(b) => Value::bytes_wire_len(b.len()),
+            Value::Pair(a, b) => Value::pair_wire_len(a.wire_len(), b.wire_len()),
+            Value::Tuple(vs) => Value::tuple_wire_len(vs.iter().map(WireLen::wire_len)),
         }
     }
 }

@@ -28,22 +28,25 @@ use rand::rngs::StdRng;
 
 use crate::spec::IdealSpec;
 
-/// Messages understood by [`SfeWithAbort`] and [`FairSfe`].
+/// Messages understood by [`SfeWithAbort`] and [`FairSfe`]. Inputs are
+/// [`Value`]s; outputs are of the spec's output type `O` (see
+/// [`IdealSpec`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SfeMsg {
+pub enum SfeMsg<O = Value> {
     /// Party → functionality: contribute an input.
     Input(Value),
     /// Functionality → party: your output.
-    Output(Value),
+    Output(O),
     /// Adversary → functionality: abort. Functionality → party: the
     /// evaluation aborted.
     Abort,
 }
 
-impl WireLen for SfeMsg {
+impl<O: WireLen> WireLen for SfeMsg<O> {
     fn wire_len(&self) -> usize {
         TAG + match self {
-            SfeMsg::Input(v) | SfeMsg::Output(v) => v.wire_len(),
+            SfeMsg::Input(v) => v.wire_len(),
+            SfeMsg::Output(o) => o.wire_len(),
             SfeMsg::Abort => 0,
         }
     }
@@ -53,13 +56,13 @@ impl WireLen for SfeMsg {
 const STALL_LIMIT: usize = 2;
 
 #[derive(Debug)]
-enum Phase {
+enum Phase<O> {
     Collecting {
         got: BTreeMap<PartyId, Value>,
         first_round: Option<usize>,
     },
     Window {
-        per_party: Vec<Value>,
+        per_party: Vec<O>,
     },
     Done,
 }
@@ -71,14 +74,14 @@ enum Phase {
 /// sees them next round); honest outputs follow one round later unless the
 /// adversary sends [`SfeMsg::Abort`] in between, in which case honest
 /// parties receive [`SfeMsg::Abort`].
-pub struct SfeWithAbort {
-    spec: IdealSpec,
-    phase: Phase,
+pub struct SfeWithAbort<O = Value> {
+    spec: IdealSpec<O>,
+    phase: Phase<O>,
 }
 
-impl SfeWithAbort {
+impl<O> SfeWithAbort<O> {
     /// Creates the functionality for `spec`.
-    pub fn new(spec: IdealSpec) -> SfeWithAbort {
+    pub fn new(spec: IdealSpec<O>) -> SfeWithAbort<O> {
         SfeWithAbort {
             spec,
             phase: Phase::Collecting {
@@ -88,7 +91,7 @@ impl SfeWithAbort {
         }
     }
 
-    fn abort_all(&mut self, n: usize) -> Vec<OutMsg<SfeMsg>> {
+    fn abort_all(&mut self, n: usize) -> Vec<OutMsg<SfeMsg<O>>> {
         self.phase = Phase::Done;
         (0..n)
             .map(|i| OutMsg::to_party(PartyId(i), SfeMsg::Abort))
@@ -96,13 +99,13 @@ impl SfeWithAbort {
     }
 }
 
-fn adversary_sent_abort(incoming: &[Envelope<SfeMsg>]) -> bool {
+fn adversary_sent_abort<O>(incoming: &[Envelope<SfeMsg<O>>]) -> bool {
     incoming
         .iter()
-        .any(|e| e.from == Endpoint::Adversary && e.msg == SfeMsg::Abort)
+        .any(|e| e.from == Endpoint::Adversary && matches!(e.msg, SfeMsg::Abort))
 }
 
-fn collect_inputs(got: &mut BTreeMap<PartyId, Value>, incoming: &[Envelope<SfeMsg>]) {
+fn collect_inputs<O>(got: &mut BTreeMap<PartyId, Value>, incoming: &[Envelope<SfeMsg<O>>]) {
     for e in incoming {
         if let (Some(p), SfeMsg::Input(v)) = (e.from_party(), &e.msg) {
             got.entry(p).or_insert_with(|| v.clone());
@@ -110,7 +113,7 @@ fn collect_inputs(got: &mut BTreeMap<PartyId, Value>, incoming: &[Envelope<SfeMs
     }
 }
 
-impl Functionality<SfeMsg> for SfeWithAbort {
+impl<O: Clone> Functionality<SfeMsg<O>> for SfeWithAbort<O> {
     fn name(&self) -> &str {
         "F_sfe_abort"
     }
@@ -118,8 +121,8 @@ impl Functionality<SfeMsg> for SfeWithAbort {
     fn on_round(
         &mut self,
         ctx: &mut FuncCtx<'_>,
-        incoming: &[Envelope<SfeMsg>],
-    ) -> Vec<OutMsg<SfeMsg>> {
+        incoming: &[Envelope<SfeMsg<O>>],
+    ) -> Vec<OutMsg<SfeMsg<O>>> {
         let n = ctx.n;
         match &mut self.phase {
             Phase::Collecting { got, first_round } => {
@@ -164,18 +167,19 @@ impl Functionality<SfeMsg> for SfeWithAbort {
                 Vec::new()
             }
             Phase::Window { per_party } => {
-                let per_party = per_party.clone();
+                let per_party = std::mem::take(per_party);
+                self.phase = Phase::Done;
                 if adversary_sent_abort(incoming) {
-                    self.phase = Phase::Done;
                     return (0..n)
                         .filter(|i| !ctx.corrupted.contains(&PartyId(*i)))
                         .map(|i| OutMsg::to_party(PartyId(i), SfeMsg::Abort))
                         .collect();
                 }
-                self.phase = Phase::Done;
-                (0..n)
-                    .filter(|i| !ctx.corrupted.contains(&PartyId(*i)))
-                    .map(|i| OutMsg::to_party(PartyId(i), SfeMsg::Output(per_party[i].clone())))
+                per_party
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(i, _)| !ctx.corrupted.contains(&PartyId(*i)))
+                    .map(|(i, v)| OutMsg::to_party(PartyId(i), SfeMsg::Output(v)))
                     .collect()
             }
             Phase::Done => Vec::new(),
@@ -187,7 +191,7 @@ impl Functionality<SfeMsg> for SfeWithAbort {
 /// only abort *before* the evaluation completes.
 pub struct FairSfe {
     spec: IdealSpec,
-    phase: Phase,
+    phase: Phase<Value>,
 }
 
 impl FairSfe {
@@ -631,9 +635,9 @@ mod tests {
 
     #[test]
     fn sfe_msg_wire_len_per_variant() {
-        assert_eq!(SfeMsg::Input(Value::Scalar(3)).wire_len(), 1 + 9);
+        assert_eq!(SfeMsg::<Value>::Input(Value::Scalar(3)).wire_len(), 1 + 9);
         assert_eq!(SfeMsg::Output(Value::Bytes(vec![0; 5])).wire_len(), 1 + 10);
-        assert_eq!(SfeMsg::Abort.wire_len(), 1);
+        assert_eq!(SfeMsg::<Value>::Abort.wire_len(), 1);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! of standard (unfair) secure function evaluation. This crate provides
 //! both sides of that composition:
 //!
-//! * [`spec`] — value-level function specifications ([`IdealSpec`]).
+//! * [`spec`] — function specifications ([`IdealSpec`]): `Value` inputs,
+//!   per-party outputs of any type.
 //! * [`ideal`] — the ideal functionalities: unfair SFE with abort
 //!   ([`SfeWithAbort`]), fully fair SFE ([`FairSfe`]) and the
 //!   randomized-abort functionality F^$ of the paper's Figure 1

@@ -1,4 +1,5 @@
-//! Value-level function specifications for ideal SFE functionalities.
+//! Function specifications for ideal SFE functionalities: `Value` inputs,
+//! per-party outputs of the spec's output type.
 
 use std::sync::Arc;
 
@@ -9,24 +10,26 @@ use rand::rngs::StdRng;
 /// ledger (at minimum the key `"y"` with the global output) and one private
 /// output per party.
 #[derive(Clone, Debug)]
-pub struct IdealOutput {
+pub struct IdealOutput<O = Value> {
     /// Facts recorded into the execution ledger.
     pub facts: Vec<(String, Value)>,
     /// Per-party private outputs (length = number of parties).
-    pub per_party: Vec<Value>,
+    pub per_party: Vec<O>,
 }
 
-/// A (possibly randomized) n-party function at the `Value` level, as
-/// evaluated by a trusted party.
+/// A (possibly randomized) n-party function, as evaluated by a trusted
+/// party. Inputs are [`Value`]s; each party's output is an `O`, so a
+/// functionality whose outputs carry crypto objects hands them over typed
+/// instead of packing them into a `Value` for the party to parse back.
 #[derive(Clone)]
-pub struct IdealSpec {
+pub struct IdealSpec<O = Value> {
     name: String,
     n: usize,
     #[allow(clippy::type_complexity)]
-    eval: Arc<dyn Fn(&[Value], &mut StdRng) -> IdealOutput + Send + Sync>,
+    eval: Arc<dyn Fn(&[Value], &mut StdRng) -> IdealOutput<O> + Send + Sync>,
 }
 
-impl core::fmt::Debug for IdealSpec {
+impl<O> core::fmt::Debug for IdealSpec<O> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("IdealSpec")
             .field("name", &self.name)
@@ -36,18 +39,6 @@ impl core::fmt::Debug for IdealSpec {
 }
 
 impl IdealSpec {
-    /// Creates a spec from an arbitrary evaluation closure.
-    pub fn new<F>(name: &str, n: usize, eval: F) -> IdealSpec
-    where
-        F: Fn(&[Value], &mut StdRng) -> IdealOutput + Send + Sync + 'static,
-    {
-        IdealSpec {
-            name: name.to_string(),
-            n,
-            eval: Arc::new(eval),
-        }
-    }
-
     /// A deterministic function with one *global* output that every party
     /// receives (the paper's wlog normal form). Records the fact `"y"`.
     pub fn global<F>(name: &str, n: usize, f: F) -> IdealSpec
@@ -61,6 +52,20 @@ impl IdealSpec {
                 per_party: vec![y; inputs.len()],
             }
         })
+    }
+}
+
+impl<O> IdealSpec<O> {
+    /// Creates a spec from an arbitrary evaluation closure.
+    pub fn new<F>(name: &str, n: usize, eval: F) -> IdealSpec<O>
+    where
+        F: Fn(&[Value], &mut StdRng) -> IdealOutput<O> + Send + Sync + 'static,
+    {
+        IdealSpec {
+            name: name.to_string(),
+            n,
+            eval: Arc::new(eval),
+        }
     }
 
     /// The spec's name.
@@ -78,7 +83,7 @@ impl IdealSpec {
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from [`IdealSpec::n`].
-    pub fn eval(&self, inputs: &[Value], rng: &mut StdRng) -> IdealOutput {
+    pub fn eval(&self, inputs: &[Value], rng: &mut StdRng) -> IdealOutput<O> {
         assert_eq!(inputs.len(), self.n, "ideal spec arity mismatch");
         let out = (self.eval)(inputs, rng);
         assert_eq!(

@@ -11,7 +11,9 @@
 //!
 //! A commitment counts its digest and an opening two byte strings; Lamport
 //! keys and signatures, MAC tags and authenticated shares count as their
-//! own `to_bytes` encoding.
+//! own `to_bytes` encoding, and a share holding as its share plus the
+//! 16-byte MAC key. A trusted functionality's typed per-party output counts
+//! as the `Value` layout it stands in for.
 //!
 //! [`WireLen::wire_len`] is pure arithmetic over lengths: it never
 //! allocates or formats, so counting bytes costs next to nothing even for

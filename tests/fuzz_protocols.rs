@@ -136,14 +136,8 @@ impl Adversary<HalfMsg> for HalfOpeningReplayer {
         _rng: &mut StdRng,
     ) {
         for e in view.delivered {
-            if let HalfMsg::Sfe(SfeMsg::Output(Value::Tuple(parts))) = &e.msg {
-                if let [_, index, value, r, ..] = parts.as_slice() {
-                    if let (Some(i), Some(v), Some(r)) =
-                        (index.as_scalar(), value.as_scalar(), r.as_bytes())
-                    {
-                        self.own = Some((i, v, r.to_vec()));
-                    }
-                }
+            if let HalfMsg::Sfe(SfeMsg::Output(dealt)) = &e.msg {
+                self.own = Some((dealt.index, dealt.value, dealt.randomness.clone()));
             }
         }
         let Some((i, v, r)) = &self.own else {
