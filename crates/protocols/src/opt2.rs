@@ -110,16 +110,10 @@ pub fn f_prime_spec_biased(name: &str, f: TwoPartyFn, q: f64) -> IdealSpec<FPrim
                 ("y".to_string(), y.clone()),
                 ("i_star".to_string(), Value::Scalar(i_star)),
             ],
-            per_party: vec![
-                FPrimeOutput {
-                    holding: h1,
-                    i_star,
-                },
-                FPrimeOutput {
-                    holding: h2,
-                    i_star,
-                },
-            ],
+            per_party: [h1, h2]
+                .into_iter()
+                .map(|holding| FPrimeOutput { holding, i_star })
+                .collect(),
         }
     })
 }
