@@ -20,7 +20,7 @@ pub struct IdealOutput<O = Value> {
 /// A (possibly randomized) n-party function, as evaluated by a trusted
 /// party. Inputs are [`Value`]s; each party's output is an `O`, so a
 /// functionality whose outputs carry crypto objects hands them over typed
-/// instead of packing them into a `Value` for the party to parse back.
+/// and the receiving party stores them as they are.
 #[derive(Clone)]
 pub struct IdealSpec<O = Value> {
     name: String,
