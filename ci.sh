@@ -190,6 +190,12 @@ STREAM_OUT="$(./target/release/fair-load get --addr "$ADDR" \
 echo "$STREAM_OUT" | grep -q '"done":true'
 ./target/release/fair-load shutdown --addr "$ADDR"
 wait "$SERVE_PID"
+# The log sits in the build's subdirectory, named by its 16-hex source
+# fingerprint, so another build never reads it.
+LOGS=("$TILES_DIR"/*/log.tiles)
+if [ "${#LOGS[@]}" -ne 1 ] || ! [[ "${LOGS[0]}" =~ ^"$TILES_DIR"/[0-9a-f]{16}/log\.tiles$ ]]; then
+  echo "tile log not in one build subdirectory of $TILES_DIR: ${LOGS[*]}"; exit 1
+fi
 # Reboot on the same directory: the point comes back warm from disk —
 # tiles loaded, lookups hit, and the body byte-identical to the cold one.
 boot_server --workers 2 --tiles-dir "$TILES_DIR"
@@ -203,5 +209,28 @@ grep -q '"hits": [1-9]' "$TMETRICS"
 wait "$SERVE_PID"
 rm -rf "$TILES_DIR"
 rm -f "$BODY_COLD" "$BODY_WARM" "$TMETRICS"
+
+echo "== tile reuse across ids (reproduce --tiles cold, warm, and without a store)"
+# e14 and s_gk_curve run e11's Gordon–Katz scenarios at e11's seeds, so a
+# shared store serves them e11's tiles. Stdout and exit code must match
+# byte for byte whether the tiles are computed, read back from disk, or
+# never stored.
+rm -rf target/simlab/tiles
+REUSE="$(mktemp -d)"
+for run in cold warm plain; do
+  flags=(--tiles)
+  [ "$run" = plain ] && flags=()
+  status=0
+  FAIR_TRIALS=128 ./target/release/reproduce "${flags[@]}" e11 e14 s_gk_curve \
+    > "$REUSE/$run.out" 2> "$REUSE/$run.err" || status=$?
+  echo "$status" > "$REUSE/$run.status"
+done
+grep -q ': 0 record(s) loaded' "$REUSE/cold.err"
+grep -Eq ': [1-9][0-9]* record\(s\) loaded' "$REUSE/warm.err"
+for run in warm plain; do
+  cmp "$REUSE/cold.out" "$REUSE/$run.out"
+  cmp "$REUSE/cold.status" "$REUSE/$run.status"
+done
+rm -rf "$REUSE"
 
 echo "== ci.sh: all green"

@@ -15,10 +15,13 @@
 //!   `--max-trials N`    largest accepted `trials` (default 100000)
 //!   `--default-trials N` trials when the request omits them (default 200)
 //!   `--metrics-out P`   flush the final metrics snapshot to P on shutdown
-//!   `--tiles-dir P`     persistent tile-store directory (default
-//!                       `target/simlab/tiles`): full 64-trial tiles are
-//!                       warmed from disk at boot and flushed after cold
-//!                       computes, so estimates survive restarts
+//!   `--tiles-dir P`     persistent tile-store root (default
+//!                       `target/simlab/tiles`): full 64-trial tiles live
+//!                       in its `<build>/` subdirectory, named by the
+//!                       16-hex fingerprint of the sources the binary was
+//!                       built from; they are warmed from disk at boot and
+//!                       flushed after cold computes, so estimates survive
+//!                       restarts of one build
 //!   `--no-tiles`        run without a persistent tile store
 //!
 //! Prints `PORT=<n>` (then `ADDR=<addr>`) on stdout once bound, so
@@ -30,6 +33,7 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
+use fair_bench::runner::tile_dir;
 use fair_bench::servecli::ExperimentBackend;
 use fair_serve::{Server, ServerConfig};
 
@@ -102,6 +106,7 @@ fn main() {
     // `/metrics` snapshots them live and shutdown flushes them.
     fair_trace::metrics::set_enabled(true);
 
+    config.tiles_dir = config.tiles_dir.map(|root| tile_dir(&root));
     let tiles_note = config.tiles_dir.as_ref().map(|p| p.display().to_string());
     let server = match Server::bind(config, Arc::new(ExperimentBackend)) {
         Ok(server) => server,

@@ -14,8 +14,11 @@
 //!                   its 95% CI half-width reaches F; records report
 //!                   trials used vs requested in their `adaptive` block
 //!   `--tiles`       persist full 64-trial tiles under
-//!                   `target/simlab/tiles/` and reuse any already there,
-//!                   so repeat runs only compute what is missing
+//!                   `target/simlab/tiles/<build>/` and reuse any already
+//!                   there, so repeat runs only compute what is missing;
+//!                   `<build>` is the 16-hex fingerprint of the sources
+//!                   the binary was built from, so a rebuilt tree starts
+//!                   cold
 //!   `--list`        list experiment ids with descriptions and exit
 //!   `--markdown`    render tables as GitHub markdown
 //!   `--trace`       capture sample transcripts per experiment under
@@ -24,7 +27,7 @@
 //! Trials per estimate default to 1000; override with `FAIR_TRIALS`.
 //! Per-experiment records always land in `target/simlab/<exp>.json`.
 
-use fair_bench::runner::{run_suite, SuiteOptions, BASE_SEED};
+use fair_bench::runner::{run_suite, tile_dir, SuiteOptions, BASE_SEED};
 
 fn usage() -> ! {
     eprintln!(
@@ -111,12 +114,13 @@ fn main() {
         // Warm from whatever previous runs (or a serve instance sharing
         // the directory) left behind; run_suite flushes new tiles at the
         // end.
-        let store = fair_tiles::Store::persistent(fair_tiles::DEFAULT_DIR);
+        let dir = tile_dir(std::path::Path::new(fair_tiles::DEFAULT_DIR));
+        let store = fair_tiles::Store::persistent(&dir);
         let loaded = store.load();
         fair_tiles::cache::install(std::sync::Arc::new(store));
         eprintln!(
             "[simlab] tile store {}: {} record(s) loaded from {} file(s)",
-            fair_tiles::DEFAULT_DIR,
+            dir.display(),
             loaded.loaded_records,
             loaded.files,
         );

@@ -20,17 +20,23 @@ pub const BASE_SEED: u64 = 0xfa1e;
 /// Transcripts sampled per experiment by `reproduce --trace`.
 pub const SUITE_TRACE_SAMPLE: usize = 2;
 
-/// Runs `(id, trials, seed)` inside the `(id, seed)` tile-cache group, so
-/// a process with an installed tile store reuses every full tile it has
-/// already computed. `None` for an unknown id.
-pub(crate) fn run_grouped(id: &str, trials: usize, seed: u64) -> Option<ReportRecord> {
-    fair_tiles::with_group(id, seed, || crate::run_experiment(id, trials, seed))
+/// Fingerprint of the workspace sources this build was compiled from:
+/// 16 hex digits of FNV-1a over every `crates/*/src/**/*.rs` (see the
+/// crate's `build.rs`).
+pub const SOURCE_FINGERPRINT: &str = env!("FAIR_SOURCE_FINGERPRINT");
+
+/// The directory this build persists tiles to under `root`: its
+/// [`SOURCE_FINGERPRINT`] subdirectory, so every build from one source
+/// tree shares a log and any source change starts cold.
+pub fn tile_dir(root: &Path) -> PathBuf {
+    root.join(SOURCE_FINGERPRINT)
 }
 
-/// [`run_grouped`] with the adaptive stopper armed: every `estimate()`
-/// inside the experiment stops once its 95% half-width reaches `epsilon`,
-/// sending a frame per tile batch to `progress` when given. Returns the
-/// report and the trials-used vs trials-requested accounting.
+/// [`crate::run_experiment`] with the adaptive stopper armed: every
+/// `estimate()` inside the experiment stops once its 95% half-width
+/// reaches `epsilon`, sending a frame per tile batch to `progress` when
+/// given. Returns the report and the trials-used vs trials-requested
+/// accounting.
 pub(crate) fn run_adaptive(
     id: &str,
     trials: usize,
@@ -38,7 +44,9 @@ pub(crate) fn run_adaptive(
     epsilon: f64,
     progress: Option<Sender<ProgressUpdate>>,
 ) -> (Option<ReportRecord>, AdaptiveSummary) {
-    fair_core::progressive::scoped(epsilon, progress, || run_grouped(id, trials, seed))
+    fair_core::progressive::scoped(epsilon, progress, || {
+        crate::run_experiment(id, trials, seed)
+    })
 }
 
 /// Runs one experiment with metrics collection enabled — both simlab's
@@ -57,8 +65,6 @@ pub fn run_recorded(id: &str, trials: usize, seed: u64) -> Option<ExpRecord> {
 /// `epsilon` is set, every `estimate()` call inside the experiment stops
 /// once its 95% half-width reaches it, and the record carries the
 /// trials-used vs trials-requested accounting in its `adaptive` block.
-/// Either way the run enters the `(id, seed)` tile-cache group (see
-/// [`run_grouped`]).
 pub fn run_recorded_with(
     id: &str,
     trials: usize,
@@ -69,7 +75,7 @@ pub fn run_recorded_with(
     fair_trace::metrics::set_enabled(true);
     let t0 = Instant::now();
     let (report, adaptive) = match epsilon {
-        None => (run_grouped(id, trials, seed), None),
+        None => (crate::run_experiment(id, trials, seed), None),
         Some(eps) => {
             let (report, adaptive) = run_adaptive(id, trials, seed, eps, None);
             (report, Some(adaptive))
@@ -222,6 +228,38 @@ pub(crate) mod tests {
     /// drain and stop each other's collection.
     pub(crate) fn recording_lock() -> MutexGuard<'static, ()> {
         RECORDING.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
+    fn a_tile_dir_written_under_one_fingerprint_is_not_read_under_another() {
+        let root = std::env::temp_dir().join(format!("fair-bench-builds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let key = fair_tiles::TileKey {
+            stream: "s".into(),
+            stream_seed: 1,
+            index: 0,
+        };
+        let tally = fair_tiles::TileTally {
+            trials: 64,
+            counts: [64, 0, 0, 0],
+        };
+        // Another build's log, then this build's view of the same root.
+        let other = fair_tiles::Store::persistent(root.join("00000000000000aa"));
+        other.put(key.clone(), tally);
+        assert_eq!(other.flush().expect("flush"), 1);
+        let ours = fair_tiles::Store::persistent(tile_dir(&root));
+        assert_eq!(ours.load(), fair_tiles::LoadSummary::default());
+        assert_eq!(ours.get(&key), None);
+        assert_eq!(
+            fair_tiles::Store::persistent(root.join("00000000000000aa"))
+                .load()
+                .loaded_records,
+            1
+        );
+
+        assert_eq!(SOURCE_FINGERPRINT.len(), 16);
+        assert!(SOURCE_FINGERPRINT.chars().all(|c| c.is_ascii_hexdigit()));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

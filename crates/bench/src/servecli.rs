@@ -46,11 +46,10 @@ impl Backend for ExperimentBackend {
 
 /// Runs `(exp, trials, seed)` and renders its canonical result document —
 /// the exact bytes both the serve path and the byte-identity tests use.
-/// The run enters the `(exp, seed)` tile-cache group, so when a tile store
-/// is installed, previously computed 64-trial tiles are reused and newly
-/// computed ones are recorded.
+/// When a tile store is installed, previously computed 64-trial tiles are
+/// reused and newly computed ones are recorded.
 pub fn rendered_result(exp: &str, trials: usize, seed: u64) -> Option<String> {
-    let report = crate::runner::run_grouped(exp, trials, seed)?;
+    let report = crate::run_experiment(exp, trials, seed)?;
     Some(fair_simlab::result_json(exp, trials, seed, &report).render_pretty() + "\n")
 }
 

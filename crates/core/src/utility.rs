@@ -49,7 +49,9 @@ pub trait Scenario {
     /// The protocol's wire message type.
     type Msg: Clone + core::fmt::Debug + WireLen;
 
-    /// Short name for reports.
+    /// Short name for reports, and the scenario's identity in the tile
+    /// store: equal names must build equal trials from equal seeds, so a
+    /// name carries every parameter that can change a trial.
     fn name(&self) -> String;
 
     /// Builds a fresh trial (drawing inputs and strategy randomness).
@@ -268,12 +270,12 @@ pub fn estimate<S: Scenario + Sync>(
 /// Two ambient contexts refine the execution without changing the result
 /// for a full-budget run:
 ///
-/// - when a tile store is live ([`fair_tiles::cache`] — a store installed
-///   *and* an `(exp, seed)` group entered), full 64-trial tiles are looked
-///   up before computing and recorded after, on the calling thread, so
-///   repeat estimations only pay for tiles they have never seen; merged
-///   results stay byte-identical to a fresh run because the cache stores
-///   the same integer tallies the fresh run would fold;
+/// - when a tile store is installed ([`fair_tiles::cache`]), full 64-trial
+///   tiles are looked up by `(scenario name, seed, tile index)` before
+///   computing and recorded after, on the calling thread, so repeat
+///   estimations only pay for tiles they have never seen; merged results
+///   stay byte-identical to a fresh run because the cache stores the same
+///   integer tallies the fresh run would fold;
 /// - when a progressive context is armed ([`crate::progressive::scoped`]),
 ///   each job runs on its own, in chunks of tiles, and stops early once
 ///   its 95% half-width reaches the armed epsilon, emitting a progress
@@ -612,21 +614,23 @@ mod tests {
         assert!(s.contains("0/4/0/0"));
     }
 
-    /// Serializes the tests that install the process-global tile store.
-    static CACHE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// Serializes the tests that install the process-global tile store
+    /// with the other tests that estimate full tiles: an installed store
+    /// serves every estimate, so one running beside a cache test would
+    /// move its counters.
+    fn store_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn tile_cache_hits_reproduce_fresh_results() {
-        let _slot = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _slot = store_lock();
         let fresh_640 = estimate(&EchoScenario, &Payoff::standard(), 640, 11);
         let fresh_2000 = estimate(&EchoScenario, &Payoff::standard(), 2000, 11);
         fair_tiles::cache::install(std::sync::Arc::new(fair_tiles::Store::in_memory()));
-        let (warm_640, warm_2000) = fair_tiles::cache::with_group("unit", 11, || {
-            (
-                estimate(&EchoScenario, &Payoff::standard(), 640, 11),
-                estimate(&EchoScenario, &Payoff::standard(), 2000, 11),
-            )
-        });
+        let warm_640 = estimate(&EchoScenario, &Payoff::standard(), 640, 11);
+        let warm_2000 = estimate(&EchoScenario, &Payoff::standard(), 2000, 11);
         let stats = fair_tiles::cache::snapshot().expect("store installed");
         fair_tiles::cache::uninstall();
         // 640 trials = tiles 0..10 (all full, all cold): 10 misses.
@@ -643,7 +647,7 @@ mod tests {
 
     #[test]
     fn batch_over_a_partly_warm_store_matches_per_scenario_estimates() {
-        let _slot = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _slot = store_lock();
         let library = [Flip(30), Flip(50), Flip(70)];
         let payoff = Payoff::standard();
         // 200 trials = tiles 0..4: three full tiles and a partial tail.
@@ -654,17 +658,11 @@ mod tests {
         // 2; returns the counters a closure adds to it.
         let warm_run = |f: &dyn Fn() -> Vec<UtilityEstimate>| {
             fair_tiles::cache::install(std::sync::Arc::new(fair_tiles::Store::in_memory()));
-            let (ests, before, after) = fair_tiles::cache::with_group("unit-batch", seed, || {
-                estimate(&library[0], &payoff, 64, seed_of(0));
-                estimate(&library[2], &payoff, 128, seed_of(2));
-                let before = fair_tiles::cache::snapshot().expect("store installed");
-                let ests = f();
-                (
-                    ests,
-                    before,
-                    fair_tiles::cache::snapshot().expect("store installed"),
-                )
-            });
+            estimate(&library[0], &payoff, 64, seed_of(0));
+            estimate(&library[2], &payoff, 128, seed_of(2));
+            let before = fair_tiles::cache::snapshot().expect("store installed");
+            let ests = f();
+            let after = fair_tiles::cache::snapshot().expect("store installed");
             fair_tiles::cache::uninstall();
             (ests, after.hits - before.hits, after.misses - before.misses)
         };
@@ -689,6 +687,7 @@ mod tests {
 
     #[test]
     fn best_of_each_matches_one_best_of_per_library() {
+        let _slot = store_lock();
         let payoff = Payoff::standard();
         let libraries = [(vec![Flip(20), Flip(80)], 5), (vec![Flip(60)], 9)];
         let each = best_of_each(&libraries, &payoff, 100);
@@ -704,17 +703,8 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_inert_without_a_group() {
-        let _slot = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        fair_tiles::cache::install(std::sync::Arc::new(fair_tiles::Store::in_memory()));
-        let _ = estimate(&EchoScenario, &Payoff::standard(), 128, 5);
-        let stats = fair_tiles::cache::snapshot().expect("store installed");
-        fair_tiles::cache::uninstall();
-        assert_eq!((stats.hits, stats.misses, stats.inserts), (0, 0, 0));
-    }
-
-    #[test]
     fn adaptive_stopper_converges_early_and_stays_exact() {
+        let _slot = store_lock();
         // Zero-variance scenario: the half-width is 0 after the first
         // chunk, so a 1000-trial request stops at 256 trials.
         let (tx, rx) = std::sync::mpsc::channel();
@@ -736,6 +726,7 @@ mod tests {
 
     #[test]
     fn adaptive_exhaustion_matches_fixed_budget_bit_for_bit() {
+        let _slot = store_lock();
         // An unreachable epsilon forces the adaptive path to spend the
         // whole budget; the result must equal the plain path exactly.
         let fixed = estimate(&EchoScenario, &Payoff::standard(), 500, 17);

@@ -18,14 +18,14 @@
 
 use std::sync::Arc;
 
-use fair_crypto::sign::{Signature, VerifyingKey};
+use fair_crypto::sign::VerifyingKey;
 use fair_runtime::wire::{WireLen, TAG};
 use fair_runtime::{Adapted, Envelope, FuncId, Instance, OutMsg, Party, PartyId, RoundCtx, Value};
 use fair_sfe::ideal::{SfeMsg, SfeWithAbort};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::optn::{priv_spec, NPartyFn, PrivOutput};
+use crate::optn::{priv_spec, validate, NPartyFn, PrivOutput};
 
 /// Rounds a party waits for the phase-1 result before concluding abort.
 const PHASE1_DEADLINE: usize = 8;
@@ -101,17 +101,6 @@ impl ArtParty {
         }
     }
 
-    fn validate(&self, v: &Value) -> Option<Value> {
-        let vk = self.vk.as_ref()?;
-        if let Value::Pair(y, sig) = v {
-            let sig = Signature::from_bytes(sig.as_bytes()?)?;
-            if fair_crypto::sign::verify(vk, &y.encode(), &sig) {
-                return Some((**y).clone());
-            }
-        }
-        None
-    }
-
     fn i_am_holder(&self) -> bool {
         matches!(self.mine, Some(Value::Pair(_, _)))
     }
@@ -170,7 +159,7 @@ impl Party<ArtMsg> for ArtParty {
                 }
                 if self.i_am_holder() {
                     let mine = self.mine.clone().expect("holder has output");
-                    let y = self.validate(&mine).unwrap_or(Value::Bot);
+                    let y = validate(self.vk.as_deref(), &mine).unwrap_or(Value::Bot);
                     // Which parties sent an honest 0?
                     let zero_senders: Vec<PartyId> = self
                         .votes
@@ -197,13 +186,10 @@ impl Party<ArtMsg> for ArtParty {
                 }
             }
             Phase::AwaitReveal { deadline } => {
-                for r in &self.reveals.clone() {
-                    if let Some(y) = self.validate(r) {
-                        self.out = Some(y);
-                        return Vec::new();
-                    }
-                }
-                if ctx.round >= *deadline {
+                let vk = self.vk.as_deref();
+                if let Some(y) = self.reveals.iter().find_map(|r| validate(vk, r)) {
+                    self.out = Some(y);
+                } else if ctx.round >= *deadline {
                     self.out = Some(Value::Bot);
                 }
                 Vec::new()

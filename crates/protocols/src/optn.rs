@@ -139,35 +139,27 @@ impl OptnParty {
         }
     }
 
-    /// Checks a broadcast value: a pair (y, σ) with σ valid on y under the
-    /// phase-1 verification key.
-    fn validate(&self, v: &Value) -> Option<Value> {
-        let vk = self.vk.as_ref()?;
-        if let Value::Pair(y, sig) = v {
-            let sig = Signature::from_bytes(sig.as_bytes()?)?;
-            if sign::verify(vk, &y.encode(), &sig) {
-                return Some((**y).clone());
-            }
-        }
-        None
-    }
-
     fn decide(&mut self) {
         // Our own private output counts first (we hold it, signed).
-        if let Some(mine) = &self.mine {
-            if let Some(y) = self.validate(&mine.clone()) {
-                self.out = Some(y);
-                return;
-            }
-        }
-        for a in &self.announces.clone() {
-            if let Some(y) = self.validate(a) {
-                self.out = Some(y);
-                return;
-            }
-        }
-        self.out = Some(Value::Bot);
+        let vk = self.vk.as_deref();
+        let y = self
+            .mine
+            .iter()
+            .chain(&self.announces)
+            .find_map(|v| validate(vk, v));
+        self.out = Some(y.unwrap_or(Value::Bot));
     }
+}
+
+/// Checks a phase-2 value: a pair (y, σ) with σ valid on y under the
+/// phase-1 verification key, when one was received. Returns y.
+pub(crate) fn validate(vk: Option<&VerifyingKey>, v: &Value) -> Option<Value> {
+    let vk = vk?;
+    let Value::Pair(y, sig) = v else {
+        return None;
+    };
+    let sig = Signature::from_bytes(sig.as_bytes()?)?;
+    sign::verify(vk, &y.encode(), &sig).then(|| (**y).clone())
 }
 
 impl Party<OptnMsg> for OptnParty {

@@ -18,7 +18,7 @@ use rand::{RngExt, SeedableRng};
 use crate::coin_toss::{coin_toss_instance, CoinMsg};
 use crate::contract::{contract_keys, contract_truth, pi1_instance, pi2_instance, ContractMsg};
 use crate::gmw_half::{gmw_half_instance, HalfCoalition, HalfMsg};
-use crate::gordon_katz::{gk_instance, AbortRule, GkAttack, GkConfig, GkMsg};
+use crate::gordon_katz::{gk_instance, AbortRule, FakeMode, GkAttack, GkConfig, GkMsg};
 use crate::one_round::{one_round_instance, OneRoundMsg, OneRoundRusher};
 use crate::opt2::{opt2_instance, swap_fn, Opt2Msg};
 use crate::optn::{concat_fn, optn_instance, OptnMsg};
@@ -592,7 +592,14 @@ impl Scenario for GkScenario {
     type Msg = GkMsg;
 
     fn name(&self) -> String {
-        format!("GK/{}", self.label)
+        let kind = match self.cfg.fake {
+            FakeMode::FromDomain { .. } => "domain",
+            FakeMode::FromRange(_) => "range",
+        };
+        format!(
+            "GK(p={},m={},{kind})/{}",
+            self.cfg.p, self.cfg.m, self.label
+        )
     }
 
     fn n(&self) -> usize {

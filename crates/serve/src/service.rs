@@ -355,7 +355,6 @@ fn tiles_json() -> Json {
         .field("loaded_records", Json::num(stats.loaded_records as f64))
         .field("skipped_records", Json::num(stats.skipped_records as f64))
         .field("flushed_files", Json::num(stats.flushed_files as f64))
-        .field("groups", Json::num(stats.groups as f64))
         .field("entries", Json::num(stats.entries as f64))
 }
 

@@ -1,29 +1,22 @@
-//! Process-global store installation and the thread-local group context.
+//! Process-global store installation.
 //!
 //! The estimator (`fair_core::utility::estimate`) is many layers below the
-//! code that knows which experiment is running, so the group key travels
-//! out of band: callers that own the `(exp, base seed)` pair (the serve
-//! backend, the batch runner) wrap the run in [`with_group`], and the
-//! estimator asks [`lookup`]/[`record`] which consult the installed store
-//! under the ambient group. With no store installed or no group entered,
-//! both are inert — the cache is strictly opt-in and every existing call
-//! path behaves exactly as before.
+//! code that decides whether tiles are cached, so the store travels out of
+//! band: a binary (or a server at bind) [`install`]s one, and the
+//! estimator asks [`lookup`]/[`record`], which consult it. A tile's key is
+//! what determines its tally, so an installed store serves every estimate
+//! in the process. With no store installed both are inert — the cache is
+//! strictly opt-in.
 //!
-//! Lookups and inserts happen on the *calling* thread (the estimator
+//! Lookups and inserts happen on the *calling* thread: the estimator
 //! resolves cached tiles before fanning the missing ones out to scheduler
-//! workers), so the thread-local group never needs to cross threads.
+//! workers.
 
-use std::cell::RefCell;
 use std::sync::{Arc, RwLock};
 
-use crate::store::{GroupKey, StatsSnapshot, Store, TileKey, TileTally};
+use crate::store::{StatsSnapshot, Store, TileKey, TileTally};
 
 static STORE: RwLock<Option<Arc<Store>>> = RwLock::new(None);
-
-thread_local! {
-    /// Stack of entered groups (innermost last) — `with_group` nests.
-    static GROUP: RefCell<Vec<GroupKey>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Installs `store` as the process-global tile store, replacing (and
 /// returning) any previous one.
@@ -43,72 +36,37 @@ pub fn installed() -> Option<Arc<Store>> {
     STORE.read().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
-/// Runs `f` with the thread's ambient group set to `(exp, base_seed)`.
-/// Restores the previous group on exit (including unwinds).
-pub fn with_group<T>(exp: &str, base_seed: u64, f: impl FnOnce() -> T) -> T {
-    struct Pop;
-    impl Drop for Pop {
-        fn drop(&mut self) {
-            GROUP.with(|g| {
-                g.borrow_mut().pop();
-            });
-        }
-    }
-    GROUP.with(|g| {
-        g.borrow_mut().push(GroupKey {
-            exp: exp.to_string(),
-            base_seed,
-        })
-    });
-    let _pop = Pop;
-    f()
-}
-
-fn current_group() -> Option<GroupKey> {
-    GROUP.with(|g| g.borrow().last().cloned())
-}
-
-/// Whether tile caching is live on this thread: a store is installed and a
-/// group has been entered.
+/// Whether tile caching is live: a store is installed.
 pub fn active() -> bool {
-    current_group().is_some() && installed().is_some()
+    installed().is_some()
 }
 
-/// Looks up a tile under the ambient group. `None` when inactive or when
-/// the tile is absent; hit/miss counters tick only on real lookups.
+fn key(stream: &str, stream_seed: u64, index: u32) -> TileKey {
+    TileKey {
+        stream: stream.to_string(),
+        stream_seed,
+        index,
+    }
+}
+
+/// Looks up a tile in the installed store. `None` when no store is
+/// installed or the tile is absent; hit/miss counters tick only on real
+/// lookups.
 pub fn lookup(stream: &str, stream_seed: u64, index: u32) -> Option<TileTally> {
-    let group = current_group()?;
-    let store = installed()?;
-    store.get(
-        &group,
-        &TileKey {
-            stream: stream.to_string(),
-            stream_seed,
-            index,
-        },
-    )
+    installed()?.get(&key(stream, stream_seed, index))
 }
 
-/// Records a freshly computed tile under the ambient group (no-op when
-/// inactive).
+/// Records a freshly computed tile in the installed store (no-op without
+/// one).
 pub fn record(stream: &str, stream_seed: u64, index: u32, tally: TileTally) {
-    let (Some(group), Some(store)) = (current_group(), installed()) else {
-        return;
-    };
-    store.put(
-        group,
-        TileKey {
-            stream: stream.to_string(),
-            stream_seed,
-            index,
-        },
-        tally,
-    );
+    if let Some(store) = installed() {
+        store.put(key(stream, stream_seed, index), tally);
+    }
 }
 
-/// Flushes the installed store's dirty groups to disk. Returns the number
-/// of files written (0 when no store, in-memory store, or nothing dirty);
-/// I/O errors are swallowed — a cache that fails to persist is still a
+/// Appends the installed store's new tiles to its log. Returns the number
+/// of appends (0 when no store, in-memory store, or nothing new); I/O
+/// errors are swallowed — a cache that fails to persist is still a
 /// working cache.
 pub fn flush() -> usize {
     installed().and_then(|s| s.flush().ok()).unwrap_or(0)
@@ -127,7 +85,7 @@ mod tests {
     static SLOT: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
-    fn inert_without_store_or_group() {
+    fn inert_without_a_store() {
         let _guard = SLOT.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
         assert!(!active());
@@ -135,45 +93,23 @@ mod tests {
         record("s", 1, 0, TileTally::default()); // no-op
         assert_eq!(flush(), 0);
         assert_eq!(snapshot(), None);
-
-        // Store but no group: still inert, counters untouched.
-        install(Arc::new(Store::in_memory()));
-        assert!(!active());
-        assert_eq!(lookup("s", 1, 0), None);
-        let stats = snapshot().expect("installed");
-        assert_eq!((stats.hits, stats.misses, stats.inserts), (0, 0, 0));
-        uninstall();
     }
 
     #[test]
-    fn group_scopes_nest_and_restore() {
+    fn an_installed_store_is_live() {
         let _guard = SLOT.lock().unwrap_or_else(|e| e.into_inner());
         install(Arc::new(Store::in_memory()));
-        with_group("e1", 5, || {
-            assert!(active());
-            record(
-                "s",
-                5,
-                0,
-                TileTally {
-                    trials: 1,
-                    counts: [1, 0, 0, 0],
-                },
-            );
-            with_group("e2", 5, || {
-                // Inner group cannot see e1's tile.
-                assert_eq!(lookup("s", 5, 0), None);
-            });
-            // Restored: e1's tile visible again.
-            assert_eq!(
-                lookup("s", 5, 0),
-                Some(TileTally {
-                    trials: 1,
-                    counts: [1, 0, 0, 0]
-                })
-            );
-        });
-        assert!(!active());
+        assert!(active());
+        assert_eq!(lookup("s", 5, 0), None);
+        let tile = TileTally {
+            trials: 1,
+            counts: [1, 0, 0, 0],
+        };
+        record("s", 5, 0, tile);
+        assert_eq!(lookup("s", 5, 0), Some(tile));
+        let stats = snapshot().expect("installed");
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 1, 1));
         uninstall();
+        assert!(!active());
     }
 }

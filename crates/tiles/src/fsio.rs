@@ -1,8 +1,8 @@
 //! Atomic file writes (temp + rename).
 //!
-//! Every persistent artifact the workspace produces — tile-store group
-//! files, `target/simlab/<exp>.json` records, `BENCH_*.json` aggregates —
-//! goes through [`atomic_write`]: bytes land in a uniquely named temporary
+//! Every whole-file artifact the workspace produces —
+//! `target/simlab/<exp>.json` records, `BENCH_*.json` aggregates — goes
+//! through [`atomic_write`]: bytes land in a uniquely named temporary
 //! file in the destination directory and are published with a single
 //! `rename`, so a killed or crashing run can never leave a truncated file
 //! at the destination path. Readers either see the old complete contents

@@ -1,17 +1,15 @@
-//! The sharded tile store and its on-disk format.
+//! The sharded tile store and its on-disk log.
 //!
 //! # Keying
 //!
-//! Tallies are addressed by two nested keys:
-//!
-//! - [`GroupKey`] `(exp, base_seed)` — the experiment id and the base seed
-//!   of the run. One group maps to one on-disk file, and all cache traffic
-//!   happens inside an explicitly entered group (see [`crate::cache`]), so
-//!   distinct experiments can never alias each other's tiles.
-//! - [`TileKey`] `(stream, stream_seed, tile_index)` — the scenario name,
-//!   the derived seed of the individual `estimate()` call (experiments
-//!   derive many streams from the base seed: `seed ^ k`,
-//!   `seed + (i << 32)`, …), and the tile's index in the fixed tiling.
+//! A tile is addressed by [`TileKey`] `(stream, stream_seed, tile_index)`:
+//! the scenario name, the derived seed of the `estimate()` call that ran
+//! it (experiments derive many streams from one base seed: `seed ^ k`,
+//! `seed + (i << 32)`, …), and the tile's index in the fixed tiling.
+//! These three fields determine the tally, because a scenario name is an
+//! identity: equal names build equal trials from equal seeds. So one store
+//! serves every estimate of a process, and two experiments that run the
+//! same scenario at the same seed share its tiles.
 //!
 //! A [`TileTally`] records the trial count alongside the four event counts;
 //! consumers must check the count matches their tile geometry before using
@@ -19,29 +17,36 @@
 //!
 //! # Disk format
 //!
-//! One file per group, written atomically (temp + rename), little-endian:
+//! A persistent store keeps one append-only log, [`LOG_FILE`], in its
+//! directory, little-endian:
 //!
 //! ```text
-//! file   := magic8 "FTILES01" | u32 version | u16 exp_len | exp bytes
-//!           | u64 base_seed | record*
+//! log    := magic8 "FAIRTILE" | u32 version | record*
 //! record := u32 0x454C4954 ("TILE") | u32 body_len | body | u64 fnv1a64(body)
 //! body   := u16 stream_len | stream bytes | u64 stream_seed
 //!           | u32 tile_index | u32 trials | u64 counts[4]
 //! ```
 //!
+//! A flush appends the tiles inserted since the previous flush, sorted by
+//! key, in one `write` on a handle opened in append mode, so concurrent
+//! flushes, from threads or processes, land whole and lose no record. The
+//! first flush of a store opens the log: it writes the header to a missing
+//! or empty file and starts over a file with another header.
+//!
 //! The loader is corruption-tolerant: a record whose magic, length bounds,
 //! or checksum fail is skipped and the scan resynchronizes by advancing one
-//! byte at a time until the next record magic — a torn or bit-flipped
-//! region costs exactly the records it overlaps, never the file. A file
-//! whose header fails to parse is skipped whole. Both outcomes are counted
-//! in [`LoadSummary`] / [`StatsSnapshot`], never surfaced as errors: a
-//! cache that fails to load is just cold.
+//! byte at a time until the next record magic — a torn tail or a bit-flipped
+//! region costs exactly the records it overlaps, never the log. A log whose
+//! header does not match loads nothing. Both outcomes are counted in
+//! [`LoadSummary`] / [`StatsSnapshot`], never surfaced as errors: a cache
+//! that fails to load is just cold.
 
 use std::collections::BTreeMap;
-use std::io;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Event-count vector width (the four fairness events E00/E01/E10/E11).
 pub const TALLY_WIDTH: usize = 4;
@@ -50,25 +55,19 @@ pub const TALLY_WIDTH: usize = 4;
 pub type Counts = [u64; TALLY_WIDTH];
 
 /// On-disk format version (bumped on any layout change).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
-const FILE_MAGIC: &[u8; 8] = b"FTILES01";
+/// The log's file name inside a persistent store's directory.
+pub const LOG_FILE: &str = "log.tiles";
+
+const FILE_MAGIC: &[u8; 8] = b"FAIRTILE";
 const RECORD_MAGIC: u32 = 0x454C_4954; // "TILE" read little-endian
 /// Upper bound on embedded name lengths; a corrupt length field beyond
 /// this is rejected instead of driving a huge allocation.
 const MAX_NAME: usize = 4096;
 const SHARDS: usize = 8;
 
-/// Identifies one experiment run: the experiment id and its base seed.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct GroupKey {
-    /// Experiment id (`e1` … `e17`).
-    pub exp: String,
-    /// The run's base seed (streams are derived from it).
-    pub base_seed: u64,
-}
-
-/// Identifies one tile inside a group.
+/// Identifies one tile: what determines its tally.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TileKey {
     /// Scenario name of the `estimate()` call that produced the tile.
@@ -91,9 +90,9 @@ pub struct TileTally {
 /// What a [`Store::load`] pass found on disk.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoadSummary {
-    /// Group files successfully opened.
+    /// Logs read with a matching header (0 or 1).
     pub files: u64,
-    /// Files whose header failed to parse (skipped whole).
+    /// Logs whose header did not match (they load nothing).
     pub skipped_files: u64,
     /// Records loaded into the map.
     pub loaded_records: u64,
@@ -114,31 +113,28 @@ pub struct StatsSnapshot {
     pub loaded_records: u64,
     /// Corrupt records skipped during loads.
     pub skipped_records: u64,
-    /// Group files written by flushes.
+    /// Appends made to the log by flushes.
     pub flushed_files: u64,
-    /// Groups currently resident.
-    pub groups: u64,
     /// Tiles currently resident.
     pub entries: u64,
 }
 
-#[derive(Default)]
-struct GroupState {
-    tiles: BTreeMap<TileKey, TileTally>,
-    dirty: bool,
+/// The disk half of a persistent store.
+struct Log {
+    dir: PathBuf,
+    /// Tiles inserted since the previous flush.
+    pending: Mutex<Vec<(TileKey, TileTally)>>,
+    /// The append handle, opened once by the first flush with tiles to
+    /// write; later flushes block on nothing but their own `write`.
+    file: OnceLock<io::Result<File>>,
 }
 
-#[derive(Default)]
-struct Shard {
-    groups: BTreeMap<GroupKey, GroupState>,
-}
-
-/// The tile store: a sharded in-memory map, optionally backed by one file
-/// per group under a directory. All methods take `&self`; the store is
+/// The tile store: a sharded in-memory map, optionally backed by an
+/// append-only log in a directory. All methods take `&self`; the store is
 /// shared process-wide behind an `Arc` (see [`crate::cache`]).
 pub struct Store {
-    shards: Vec<Mutex<Shard>>,
-    dir: Option<PathBuf>,
+    shards: Vec<Mutex<BTreeMap<TileKey, TileTally>>>,
+    log: Option<Log>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -148,10 +144,10 @@ pub struct Store {
 }
 
 impl Store {
-    fn new(dir: Option<PathBuf>) -> Store {
+    fn new(log: Option<Log>) -> Store {
         Store {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            dir,
+            shards: (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect(),
+            log,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -166,72 +162,61 @@ impl Store {
         Store::new(None)
     }
 
-    /// A store persisted under `dir` (one `.tiles` file per group). The
-    /// directory is created lazily on first flush; call [`Store::load`] to
-    /// warm from whatever is already there.
+    /// A store persisted under `dir` (one [`LOG_FILE`]). The directory is
+    /// created lazily on first flush; call [`Store::load`] to warm from
+    /// whatever is already there.
     pub fn persistent(dir: impl Into<PathBuf>) -> Store {
-        Store::new(Some(dir.into()))
+        Store::new(Some(Log {
+            dir: dir.into(),
+            pending: Mutex::new(Vec::new()),
+            file: OnceLock::new(),
+        }))
     }
 
-    /// The backing directory, if persistent.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
-    fn shard_for(&self, group: &GroupKey) -> &Mutex<Shard> {
-        let h = fnv1a64(group.exp.as_bytes()) ^ group.base_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    fn shard_for(&self, tile: &TileKey) -> &Mutex<BTreeMap<TileKey, TileTally>> {
+        let h = fnv1a64(tile.stream.as_bytes())
+            ^ tile.stream_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ u64::from(tile.index);
         &self.shards[(h as usize) % SHARDS]
     }
 
     /// Looks up a tile, bumping the hit/miss counters.
-    pub fn get(&self, group: &GroupKey, tile: &TileKey) -> Option<TileTally> {
-        let shard = lock(self.shard_for(group));
-        let found = shard
-            .groups
-            .get(group)
-            .and_then(|g| g.tiles.get(tile))
-            .copied();
-        match found {
-            Some(t) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(t)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    pub fn get(&self, tile: &TileKey) -> Option<TileTally> {
+        let found = lock(self.shard_for(tile)).get(tile).copied();
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
-    /// Inserts a freshly computed tile and marks its group dirty.
-    pub fn put(&self, group: GroupKey, tile: TileKey, tally: TileTally) {
-        let mut shard = lock(self.shard_for(&group));
-        let state = shard.groups.entry(group).or_default();
-        state.tiles.insert(tile, tally);
-        state.dirty = true;
+    /// Inserts a freshly computed tile; a persistent store queues a tile
+    /// it did not hold yet for the next flush.
+    pub fn put(&self, tile: TileKey, tally: TileTally) {
         self.inserts.fetch_add(1, Ordering::Relaxed);
+        let new = lock(self.shard_for(&tile))
+            .insert(tile.clone(), tally)
+            .is_none();
+        if let (true, Some(log)) = (new, &self.log) {
+            lock(&log.pending).push((tile, tally));
+        }
     }
 
     /// Tiles currently resident.
     pub fn entries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                lock(s)
-                    .groups
-                    .values()
-                    .map(|g| g.tiles.len() as u64)
-                    .sum::<u64>()
-            })
-            .sum()
+        self.shards.iter().map(|s| lock(s).len() as u64).sum()
     }
 
-    /// Groups currently resident.
-    pub fn groups(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| lock(s).groups.len() as u64)
-            .sum()
+    /// Every resident tile, sorted by key.
+    pub fn tiles(&self) -> Vec<(TileKey, TileTally)> {
+        let mut all: Vec<(TileKey, TileTally)> = Vec::new();
+        for shard in &self.shards {
+            all.extend(lock(shard).iter().map(|(k, t)| (k.clone(), *t)));
+        }
+        all.sort_by(|a, b| a.0.cmp(&b.0));
+        all
     }
 
     /// Counter + occupancy snapshot (what `/metrics` exports).
@@ -243,50 +228,32 @@ impl Store {
             loaded_records: self.loaded_records.load(Ordering::Relaxed),
             skipped_records: self.skipped_records.load(Ordering::Relaxed),
             flushed_files: self.flushed_files.load(Ordering::Relaxed),
-            groups: self.groups(),
             entries: self.entries(),
         }
     }
 
-    /// Loads every `.tiles` file under the backing directory, skipping
-    /// corrupt records (and whole files with unreadable headers). Loaded
-    /// groups start clean; tiles already in memory win over disk.
-    /// A missing directory is simply a cold cache.
+    /// Loads the log under the backing directory, skipping corrupt
+    /// records (and the whole log when its header does not match). Tiles
+    /// already in memory win over disk. A missing log is a cold cache.
     pub fn load(&self) -> LoadSummary {
         let mut summary = LoadSummary::default();
-        let Some(dir) = self.dir.as_ref() else {
+        let Some(log) = &self.log else {
             return summary;
         };
-        let Ok(entries) = std::fs::read_dir(dir) else {
+        let Ok(bytes) = std::fs::read(log.dir.join(LOG_FILE)) else {
             return summary;
         };
-        let mut paths: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "tiles"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let Ok(bytes) = std::fs::read(&path) else {
-                summary.skipped_files += 1;
-                continue;
-            };
-            match decode_group(&bytes) {
-                Some((group, tiles, skipped)) => {
-                    summary.files += 1;
-                    summary.skipped_records += skipped;
-                    let mut shard = lock(self.shard_for(&group));
-                    let state = shard.groups.entry(group).or_default();
-                    for (key, tally) in tiles {
-                        if let std::collections::btree_map::Entry::Vacant(slot) =
-                            state.tiles.entry(key)
-                        {
-                            slot.insert(tally);
-                            summary.loaded_records += 1;
-                        }
-                    }
-                }
-                None => summary.skipped_files += 1,
+        let Some((tiles, skipped)) = decode_log(&bytes) else {
+            summary.skipped_files = 1;
+            return summary;
+        };
+        summary.files = 1;
+        summary.skipped_records = skipped;
+        for (key, tally) in tiles {
+            let mut shard = lock(self.shard_for(&key));
+            if let std::collections::btree_map::Entry::Vacant(slot) = shard.entry(key) {
+                slot.insert(tally);
+                summary.loaded_records += 1;
             }
         }
         self.loaded_records
@@ -296,39 +263,31 @@ impl Store {
         summary
     }
 
-    /// Writes every dirty group to its file (atomic temp + rename),
-    /// clearing dirty flags. Returns the number of files written; in-memory
-    /// stores always return `Ok(0)`.
+    /// Appends the tiles inserted since the previous flush to the log, in
+    /// one write made outside every lock. Returns the number of appends
+    /// (1, or 0 when there was nothing new); in-memory stores always
+    /// return `Ok(0)`. On an error the batch stays in memory but not on
+    /// disk: a later run recomputes it.
     pub fn flush(&self) -> io::Result<usize> {
-        let Some(dir) = self.dir.as_ref() else {
+        let Some(log) = &self.log else {
             return Ok(0);
         };
-        let mut written = 0usize;
-        for shard in &self.shards {
-            // Encode under the lock (cheap), write outside it.
-            let pending: Vec<(PathBuf, Vec<u8>)> = {
-                let mut guard = lock(shard);
-                guard
-                    .groups
-                    .iter_mut()
-                    .filter(|(_, state)| state.dirty)
-                    .map(|(group, state)| {
-                        state.dirty = false;
-                        (
-                            dir.join(group_file_name(group)),
-                            encode_group(group, &state.tiles),
-                        )
-                    })
-                    .collect()
-            };
-            for (path, bytes) in pending {
-                crate::fsio::atomic_write(&path, &bytes)?;
-                written += 1;
-            }
+        let mut batch = std::mem::take(&mut *lock(&log.pending));
+        if batch.is_empty() {
+            return Ok(0);
         }
-        self.flushed_files
-            .fetch_add(written as u64, Ordering::Relaxed);
-        Ok(written)
+        batch.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut bytes = Vec::with_capacity(batch.len() * 80);
+        for (key, tally) in &batch {
+            encode_record(&mut bytes, key, tally);
+        }
+        let mut file = match log.file.get_or_init(|| open_log(&log.dir)) {
+            Ok(file) => file,
+            Err(e) => return Err(io::Error::new(e.kind(), e.to_string())),
+        };
+        file.write_all(&bytes)?;
+        self.flushed_files.fetch_add(1, Ordering::Relaxed);
+        Ok(1)
     }
 }
 
@@ -337,7 +296,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// FNV-1a 64-bit — the record checksum (and shard hash).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for b in bytes {
         h ^= u64::from(*b);
@@ -346,35 +305,40 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// File name for a group: `<exp>-<seed hex>.tiles`, with non-alphanumeric
-/// experiment characters mapped to `_`. Identity comes from the file
-/// *header*, not the name.
-pub fn group_file_name(group: &GroupKey) -> String {
-    let safe: String = group
-        .exp
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    format!("{safe}-{:016x}.tiles", group.base_seed)
+/// The log header: magic and format version.
+fn header() -> Vec<u8> {
+    let mut out = FILE_MAGIC.to_vec();
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out
 }
 
-fn encode_group(group: &GroupKey, tiles: &BTreeMap<TileKey, TileTally>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + tiles.len() * 80);
-    out.extend_from_slice(FILE_MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    let exp = group.exp.as_bytes();
-    let exp_len = exp.len().min(MAX_NAME) as u16;
-    out.extend_from_slice(&exp_len.to_le_bytes());
-    out.extend_from_slice(&exp[..exp_len as usize]);
-    out.extend_from_slice(&group.base_seed.to_le_bytes());
-    for (key, tally) in tiles {
-        let body = encode_body(key, tally);
-        out.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+/// Opens the log in `dir` for appending. A missing or empty file gets the
+/// header; a file with another header is started over.
+fn open_log(dir: &Path) -> io::Result<File> {
+    std::fs::create_dir_all(dir)?;
+    let mut file = OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(dir.join(LOG_FILE))?;
+    let header = header();
+    let mut head = Vec::with_capacity(header.len());
+    (&file).take(header.len() as u64).read_to_end(&mut head)?;
+    if head != header {
+        if !head.is_empty() {
+            file.set_len(0)?;
+        }
+        file.write_all(&header)?;
     }
-    out
+    Ok(file)
+}
+
+fn encode_record(out: &mut Vec<u8>, key: &TileKey, tally: &TileTally) {
+    let body = encode_body(key, tally);
+    out.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(&body);
+    out.extend_from_slice(&fnv1a64(&body).to_le_bytes());
 }
 
 fn encode_body(key: &TileKey, tally: &TileTally) -> Vec<u8> {
@@ -461,31 +425,17 @@ fn decode_body(body: &[u8]) -> Option<(TileKey, TileTally)> {
     ))
 }
 
-/// A decoded group file: the group, the tiles that survived, and how many
-/// corrupt records were skipped.
-type DecodedGroup = (GroupKey, Vec<(TileKey, TileTally)>, u64);
+/// The records of a decoded log that survived, and how many corrupt
+/// spans were skipped.
+type DecodedLog = (Vec<(TileKey, TileTally)>, u64);
 
-/// Decodes one group file. `None` means the header was unreadable (skip
-/// the whole file); otherwise returns the surviving records.
-fn decode_group(bytes: &[u8]) -> Option<DecodedGroup> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    if cur.take(FILE_MAGIC.len())? != FILE_MAGIC {
-        return None;
-    }
-    if cur.u32()? != FORMAT_VERSION {
-        return None;
-    }
-    let exp_len = cur.u16()? as usize;
-    if exp_len > MAX_NAME {
-        return None;
-    }
-    let exp = core::str::from_utf8(cur.take(exp_len)?).ok()?.to_string();
-    let base_seed = cur.u64()?;
-    let group = GroupKey { exp, base_seed };
-
+/// Decodes a log. `None` means the header did not match (load nothing);
+/// otherwise returns the surviving records.
+fn decode_log(bytes: &[u8]) -> Option<DecodedLog> {
+    let bytes = bytes.strip_prefix(header().as_slice())?;
     let mut tiles = Vec::new();
     let mut skipped = 0u64;
-    let mut pos = cur.pos;
+    let mut pos = 0;
     // `in_sync` collapses an arbitrarily long corrupt span into one skip:
     // the count reflects resync events, not bytes scanned.
     let mut in_sync = true;
@@ -505,7 +455,7 @@ fn decode_group(bytes: &[u8]) -> Option<DecodedGroup> {
         }
         pos += 1;
     }
-    Some((group, tiles, skipped))
+    Some((tiles, skipped))
 }
 
 /// Tries to decode the record starting at `pos` (which holds the record
@@ -544,13 +494,6 @@ mod tests {
         TileTally { trials, counts }
     }
 
-    fn group(exp: &str, seed: u64) -> GroupKey {
-        GroupKey {
-            exp: exp.into(),
-            base_seed: seed,
-        }
-    }
-
     fn scratch(name: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("fair-tiles-store-{}-{name}", std::process::id()));
@@ -558,64 +501,84 @@ mod tests {
         dir
     }
 
+    fn log_bytes(dir: &Path) -> Vec<u8> {
+        std::fs::read(dir.join(LOG_FILE)).expect("log exists")
+    }
+
     #[test]
     fn get_put_and_counters() {
         let store = Store::in_memory();
-        let g = group("e1", 7);
         let k = key("CoinToss/abort", 7, 0);
-        assert_eq!(store.get(&g, &k), None);
-        store.put(g.clone(), k.clone(), tally(64, [10, 20, 30, 4]));
-        assert_eq!(store.get(&g, &k), Some(tally(64, [10, 20, 30, 4])));
-        // A different group cannot see it.
-        assert_eq!(store.get(&group("e2", 7), &k), None);
+        assert_eq!(store.get(&k), None);
+        store.put(k.clone(), tally(64, [10, 20, 30, 4]));
+        assert_eq!(store.get(&k), Some(tally(64, [10, 20, 30, 4])));
+        // Another stream seed is another tile.
+        assert_eq!(store.get(&key("CoinToss/abort", 8, 0)), None);
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 2, 1));
-        assert_eq!((stats.groups, stats.entries), (1, 1));
+        assert_eq!(stats.entries, 1);
+        assert_eq!(store.tiles(), vec![(k, tally(64, [10, 20, 30, 4]))]);
         assert_eq!(store.flush().expect("in-memory flush"), 0);
     }
 
     #[test]
     fn flush_and_load_round_trip() {
         let dir = scratch("roundtrip");
-        let g = group("e3", 0xfa1e);
-        let k1 = key("GK/n3", 0xfa1e ^ 2, 0);
-        let k2 = key("GK/n3", 0xfa1e ^ 2, 1);
+        let k1 = key("GK(p=2,m=32,domain)/abort@3", 0xfa1e ^ 2, 0);
+        let k2 = key("GK(p=2,m=32,domain)/abort@3", 0xfa1e ^ 2, 1);
         {
             let store = Store::persistent(&dir);
-            store.put(g.clone(), k1.clone(), tally(64, [64, 0, 0, 0]));
-            store.put(g.clone(), k2.clone(), tally(64, [0, 0, 63, 1]));
+            store.put(k1.clone(), tally(64, [64, 0, 0, 0]));
+            store.put(k2.clone(), tally(64, [0, 0, 63, 1]));
             assert_eq!(store.flush().expect("flush"), 1);
-            // Clean after flush: nothing more to write.
-            assert_eq!(store.flush().expect("reflush"), 0);
         }
         let warm = Store::persistent(&dir);
-        let summary = warm.load();
-        assert_eq!(summary.files, 1);
-        assert_eq!(summary.loaded_records, 2);
-        assert_eq!(summary.skipped_records, 0);
-        assert_eq!(warm.get(&g, &k1), Some(tally(64, [64, 0, 0, 0])));
-        assert_eq!(warm.get(&g, &k2), Some(tally(64, [0, 0, 63, 1])));
+        assert_eq!(
+            warm.load(),
+            LoadSummary {
+                files: 1,
+                skipped_files: 0,
+                loaded_records: 2,
+                skipped_records: 0,
+            }
+        );
+        assert_eq!(warm.get(&k1), Some(tally(64, [64, 0, 0, 0])));
+        assert_eq!(warm.get(&k2), Some(tally(64, [0, 0, 63, 1])));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flush_with_nothing_new_writes_nothing() {
+        let dir = scratch("idle");
+        let store = Store::persistent(&dir);
+        assert_eq!(store.flush().expect("empty flush"), 0);
+        assert!(!dir.exists(), "nothing to write opens no log");
+        store.put(key("s", 1, 0), tally(64, [64, 0, 0, 0]));
+        assert_eq!(store.flush().expect("flush"), 1);
+        let written = log_bytes(&dir);
+        assert_eq!(store.flush().expect("second flush"), 0);
+        // Re-inserting a resident tile queues nothing either.
+        store.put(key("s", 1, 0), tally(64, [64, 0, 0, 0]));
+        assert_eq!(store.flush().expect("third flush"), 0);
+        assert_eq!(log_bytes(&dir), written);
+        assert_eq!(store.stats().flushed_files, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn flush_writes_canonical_bytes() {
-        // Same contents inserted in different orders → identical files.
+        // Same batch inserted in different orders → identical logs.
         let dir_a = scratch("canon-a");
         let dir_b = scratch("canon-b");
-        let g = group("e1", 1);
         let a = Store::persistent(&dir_a);
         let b = Store::persistent(&dir_b);
         for (store, order) in [(&a, [0u32, 1, 2]), (&b, [2u32, 0, 1])] {
             for i in order {
-                store.put(g.clone(), key("s", 9, i), tally(64, [64, 0, 0, 0]));
+                store.put(key("s", 9, i), tally(64, [64, 0, 0, 0]));
             }
             store.flush().expect("flush");
         }
-        let name = group_file_name(&g);
-        let bytes_a = std::fs::read(dir_a.join(&name)).expect("a");
-        let bytes_b = std::fs::read(dir_b.join(&name)).expect("b");
-        assert_eq!(bytes_a, bytes_b);
+        assert_eq!(log_bytes(&dir_a), log_bytes(&dir_b));
         let _ = std::fs::remove_dir_all(&dir_a);
         let _ = std::fs::remove_dir_all(&dir_b);
     }
@@ -623,26 +586,20 @@ mod tests {
     #[test]
     fn corrupt_records_are_skipped_not_fatal() {
         let dir = scratch("corrupt");
-        let g = group("e5", 42);
         let keys: Vec<TileKey> = (0..5).map(|i| key("OCT/n5", 42, i)).collect();
         {
             let store = Store::persistent(&dir);
             for (i, k) in keys.iter().enumerate() {
-                store.put(
-                    g.clone(),
-                    k.clone(),
-                    tally(64, [i as u64, 64 - i as u64, 0, 0]),
-                );
+                store.put(k.clone(), tally(64, [i as u64, 64 - i as u64, 0, 0]));
             }
             store.flush().expect("flush");
         }
-        let path = dir.join(group_file_name(&g));
-        let mut bytes = std::fs::read(&path).expect("read");
-        // Flip a byte in the middle of the file body (past the header),
+        let mut bytes = log_bytes(&dir);
+        // Flip a byte in the middle of the log (past the header),
         // corrupting one record's checksum.
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).expect("rewrite");
+        std::fs::write(dir.join(LOG_FILE), &bytes).expect("rewrite");
 
         let warm = Store::persistent(&dir);
         let summary = warm.load();
@@ -656,7 +613,7 @@ mod tests {
         // The surviving tiles are intact.
         let mut intact = 0;
         for (i, k) in keys.iter().enumerate() {
-            if let Some(t) = warm.get(&g, k) {
+            if let Some(t) = warm.get(k) {
                 assert_eq!(t, tally(64, [i as u64, 64 - i as u64, 0, 0]));
                 intact += 1;
             }
@@ -666,86 +623,90 @@ mod tests {
     }
 
     #[test]
-    fn truncated_file_keeps_full_prefix_records() {
-        let dir = scratch("truncated");
-        let g = group("e2", 9);
+    fn torn_tail_is_skipped_and_later_appends_load() {
+        let dir = scratch("torn");
         {
             let store = Store::persistent(&dir);
             for i in 0..4u32 {
-                store.put(g.clone(), key("t", 9, i), tally(64, [64, 0, 0, 0]));
+                store.put(key("t", 9, i), tally(64, [64, 0, 0, 0]));
             }
             store.flush().expect("flush");
         }
-        let path = dir.join(group_file_name(&g));
-        let bytes = std::fs::read(&path).expect("read");
-        // Chop the last 10 bytes (a torn write mid-record).
-        std::fs::write(&path, &bytes[..bytes.len() - 10]).expect("truncate");
-        let warm = Store::persistent(&dir);
-        let summary = warm.load();
-        assert_eq!(summary.loaded_records, 3);
-        assert_eq!(summary.skipped_records, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn garbage_header_skips_file() {
-        let dir = scratch("garbage");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        std::fs::write(dir.join("junk.tiles"), b"not a tile file at all").expect("write");
+        // Chop the last 10 bytes: a write torn mid-record.
+        let bytes = log_bytes(&dir);
+        std::fs::write(dir.join(LOG_FILE), &bytes[..bytes.len() - 10]).expect("truncate");
         let store = Store::persistent(&dir);
         let summary = store.load();
-        assert_eq!(summary.files, 0);
-        assert_eq!(summary.skipped_files, 1);
-        assert_eq!(store.entries(), 0);
+        assert_eq!((summary.loaded_records, summary.skipped_records), (3, 1));
+
+        // The next flush appends behind the torn record, and loads.
+        store.put(key("t", 9, 4), tally(64, [0, 64, 0, 0]));
+        store.put(key("t", 9, 5), tally(64, [0, 0, 64, 0]));
+        assert_eq!(store.flush().expect("append"), 1);
+        let reloaded = Store::persistent(&dir);
+        let summary = reloaded.load();
+        assert_eq!((summary.loaded_records, summary.skipped_records), (5, 1));
+        assert_eq!(reloaded.get(&key("t", 9, 3)), None, "the torn tile");
+        assert_eq!(
+            reloaded.get(&key("t", 9, 5)),
+            Some(tally(64, [0, 0, 64, 0]))
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn crash_before_rename_leaves_an_ignored_temp_file() {
-        // A crash between `atomic_write`'s temp write and its rename leaves
-        // `.<name>.tmp.<pid>.<seq>` beside the last good group file.
-        let dir = scratch("crash");
-        let g = group("e4", 3);
-        let name = group_file_name(&g);
-        {
-            let store = Store::persistent(&dir);
-            store.put(g.clone(), key("r", 3, 0), tally(64, [64, 0, 0, 0]));
-            store.flush().expect("flush");
-        }
-        let tmp = dir.join(format!(".{name}.tmp.{}.7", std::process::id()));
-        std::fs::write(&tmp, b"half-written garbage").expect("write temp");
+    fn wrong_version_log_loads_nothing_and_is_started_over() {
+        let dir = scratch("version");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let mut old = FILE_MAGIC.to_vec();
+        old.extend_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
+        encode_record(&mut old, &key("s", 1, 0), &tally(64, [64, 0, 0, 0]));
+        std::fs::write(dir.join(LOG_FILE), &old).expect("write");
 
-        let warm = Store::persistent(&dir);
-        let summary = warm.load();
+        let store = Store::persistent(&dir);
         assert_eq!(
-            summary,
+            store.load(),
             LoadSummary {
-                files: 1,
-                skipped_files: 0,
-                loaded_records: 1,
+                files: 0,
+                skipped_files: 1,
+                loaded_records: 0,
                 skipped_records: 0,
             }
         );
-        assert_eq!(
-            warm.get(&g, &key("r", 3, 0)),
-            Some(tally(64, [64, 0, 0, 0]))
-        );
+        assert_eq!(store.entries(), 0);
+        store.put(key("s", 2, 0), tally(64, [0, 0, 64, 0]));
+        assert_eq!(store.flush().expect("flush"), 1);
+        let mut fresh = header();
+        encode_record(&mut fresh, &key("s", 2, 0), &tally(64, [0, 0, 64, 0]));
+        assert_eq!(log_bytes(&dir), fresh, "the log was started over");
 
-        // The store keeps working over the stale temp file.
-        warm.put(g.clone(), key("r", 3, 1), tally(64, [0, 64, 0, 0]));
-        assert_eq!(warm.flush().expect("reflush"), 1);
+        // Garbage shorter than a header is another header too.
+        std::fs::write(dir.join(LOG_FILE), b"junk").expect("write");
+        assert_eq!(Store::persistent(&dir).load().skipped_files, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_flushes_lose_no_record() {
+        let dir = scratch("concurrent");
+        let store = Store::persistent(&dir);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let store = &store;
+                s.spawn(move || {
+                    for i in 0..100u32 {
+                        let events = u64::from(i) % 65;
+                        store.put(key("c", t, i), tally(64, [events, 64 - events, 0, 0]));
+                        store.flush().expect("flush");
+                    }
+                });
+            }
+        });
+        assert_eq!(store.flush().expect("drained"), 0);
         let reloaded = Store::persistent(&dir);
         let summary = reloaded.load();
-        assert_eq!((summary.files, summary.skipped_files), (1, 0));
-        assert_eq!(summary.loaded_records, 2);
-        assert_eq!(
-            reloaded.get(&g, &key("r", 3, 0)),
-            Some(tally(64, [64, 0, 0, 0]))
-        );
-        assert_eq!(
-            reloaded.get(&g, &key("r", 3, 1)),
-            Some(tally(64, [0, 64, 0, 0]))
-        );
+        assert_eq!((summary.loaded_records, summary.skipped_records), (200, 0));
+        assert_eq!(reloaded.tiles(), store.tiles());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,10 +6,18 @@
 //!   families — and every such row names a registered id;
 //! * no id is registered twice;
 //! * every `scenarios/*.toml` file compiles (the registry silently skips
-//!   a file that does not, so only this check notices it).
+//!   a file that does not, so only this check notices it);
+//! * a tile-store key is an identity across the registry: equal
+//!   `(scenario name, stream seed, tile index)` keys carry equal tallies,
+//!   so sharing one store changes no result byte.
 
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
+use std::sync::Arc;
+
+use fair_bench::servecli::rendered_result;
+use fair_tiles::{Store, TileKey, TileTally};
 
 /// The registry id a summary-table row documents: `| E<k> |` is `e<k>`,
 /// `| s_… |` is the scenario id itself; any other row documents none.
@@ -72,4 +80,58 @@ fn every_scenario_file_compiles() {
         !load.specs.is_empty(),
         "no scenario compiled from scenarios/"
     );
+}
+
+/// Trials per estimate in the identity check: one full tile, so every
+/// estimate of every id reads and writes the installed store.
+const ONE_TILE: usize = 64;
+
+#[test]
+fn tile_keys_are_identities_across_the_registry() {
+    let ids = fair_bench::all_experiment_ids();
+    let seed = fair_bench::runner::BASE_SEED;
+    let run = |id: &str| rendered_result(id, ONE_TILE, seed).expect("registered id");
+
+    fair_tiles::cache::uninstall();
+    let unstored: Vec<String> = ids.iter().map(|id| run(id)).collect();
+
+    // Each id into its own store: a key minted under two ids must carry
+    // one tally.
+    let mut first_seen: BTreeMap<TileKey, (String, TileTally)> = BTreeMap::new();
+    let mut per_id = Vec::new();
+    for id in &ids {
+        let store = Arc::new(Store::in_memory());
+        fair_tiles::cache::install(Arc::clone(&store));
+        per_id.push(run(id));
+        fair_tiles::cache::uninstall();
+        for (key, tally) in store.tiles() {
+            match first_seen.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert((id.clone(), tally));
+                }
+                Entry::Occupied(seen) => assert_eq!(
+                    seen.get().1,
+                    tally,
+                    "{:?}: {} and {id} disagree",
+                    seen.key(),
+                    seen.get().0
+                ),
+            }
+        }
+    }
+
+    // One store across the whole registry: later ids hit earlier tiles.
+    let shared = Arc::new(Store::in_memory());
+    fair_tiles::cache::install(Arc::clone(&shared));
+    let shared_docs: Vec<String> = ids.iter().map(|id| run(id)).collect();
+    fair_tiles::cache::uninstall();
+    assert!(shared.stats().hits > 0, "no id reused another's tiles");
+
+    for (k, id) in ids.iter().enumerate() {
+        assert_eq!(per_id[k], unstored[k], "{id}: own store vs no store");
+        assert_eq!(
+            shared_docs[k], unstored[k],
+            "{id}: shared store vs no store"
+        );
+    }
 }
